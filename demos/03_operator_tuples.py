@@ -27,7 +27,7 @@ print("all pairs commute:", check_commuting(t).ok)
 # For triple systems every T_l* T_l is diagonal 0/1, certifying norm exactly 1.
 reports = gram_diagonal_check(t)
 print("Gram diagonal 0/1:", all(r.is_diagonal_01 for r in reports))
-print("power-iteration norms:", [round(operator_norm(op), 9) for op in t.ops[:4]], "...")
+print("exact norms (largest row norm):", [operator_norm(op) for op in t.ops[:4]], "...")
 
 # The evaluation identity: applying the polynomial to e lands on |S| g.
 image = apply_polynomial(t, p, t.basis.e_vector())

@@ -238,6 +238,11 @@ def _cmd_ratio_sweep(args):
                                    for r in records})
     _emit(args, {"out": args.out, "records": len(records)},
           f"wrote {len(records)} records to {args.out}")
+    errors = sum(rec.norm_method.startswith("error:") for rec in records)
+    if errors:
+        print(f"error: {errors} of {len(records)} cells failed (error rows in {args.out})",
+              file=sys.stderr)
+        return 1
     return 0
 
 

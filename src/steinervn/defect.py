@@ -25,7 +25,7 @@ from math import inf, log
 import numpy as np
 
 from .designs import bose_construct, greedy_construct, skolem_construct
-from .errors import DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .norms import ksz_polydisk_bound
 from .operators import (build_operators, contraction_normalize,
                         linear_combination_sup, polynomial_operator_norm)
@@ -176,9 +176,11 @@ def _write_rows(path, records):
 def sweep(config: SweepConfig, workers: int = 1) -> list:
     """One RatioRecord per (n, seed) cell, optionally streamed to CSV.
 
-    Cell failures become error rows (NaN numerics, the error message in
-    norm_method) and the sweep continues.  Output records are sorted by
-    (n, seed) regardless of execution order, and identical configs produce
+    Cell failures raised by the package (validation, domain and convergence
+    errors, floating-point traps) become error rows (NaN numerics, the error
+    message in norm_method) and the sweep continues; any other exception is a
+    programming error and propagates.  Output records are sorted by (n, seed)
+    regardless of execution order, and identical configs produce
     byte-identical CSVs apart from the elapsed_ms column.
     """
     if not config.n_list:
@@ -192,7 +194,7 @@ def sweep(config: SweepConfig, workers: int = 1) -> list:
         n, s = cell
         try:
             return ratio_point(config.k, n, config.q, config.r, s, config.budgets)
-        except Exception as exc:  # error rows keep the sweep alive
+        except (ValidationError, DomainError, ConvergenceError, FloatingPointError) as exc:
             logger.warning("sweep cell (n=%d, seed=%d) failed: %s", n, s, exc)
             nan = float("nan")
             return RatioRecord(config.k, float(config.q), float(config.r), n, s, 0,

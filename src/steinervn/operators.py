@@ -14,6 +14,12 @@ no two columns share a row, which certifies the operator norm 1 through the
 Gram matrix.  For k >= 4 two blocks may share a (k-2)-set, producing Gram
 off-diagonals and operator norms above 1; callers that need contractions
 must normalize (see contraction_normalize).
+
+The grade of a basis vector is m for e-levels of size m, k-1 for the f-layer
+and k for g.  Every T_l raises the grade by exactly one and has at most one
+nonzero per column, so the norms have closed forms: ||T_l|| is its largest
+row norm, p(T) = |S| g e^T, and ||sum_j alpha_j T_j|| is the largest norm of
+its per-grade blocks.  No norm in this module is iterated numerically.
 """
 
 import math
@@ -24,14 +30,13 @@ from math import comb, inf
 import numpy as np
 from scipy import sparse
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .polynomials import SteinerPolynomial
 from .seeding import rng_for
 
 # Entry-magnitude budget before a product could overflow int64; products
 # exceeding it are recomputed with Python integers.
 _OVERFLOW_GUARD = 1 << 62
-_POWER_SEED = 0x5EED
 
 
 @dataclass
@@ -267,56 +272,29 @@ def gram_diagonal_check(t: OperatorTuple) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Floating-point norms (power iteration)
+# Exact grade-structure norms
 # ---------------------------------------------------------------------------
 
-def _power_sqrt_norm(apply_gram, dim, tol, max_iters, rng, complex_field=False):
-    """sqrt of the top eigenvalue of a Hermitian PSD operator given as a matvec.
+def operator_norm(a: IntSparseOperator) -> float:
+    """Spectral norm of an operator with at most one nonzero per column.
 
-    Stops when the eigenvalue residual drops below 0.5 * tol * lambda, which
-    bounds the relative error of the returned square root by about tol.
+    Every T_l maps each basis vector to a multiple of a single basis vector,
+    so A A^T is diagonal and ||A|| is exactly the largest Euclidean row norm.
+    The column property is checked in integers; a matrix that breaks it (only
+    a hand-edited operator file can) raises ValidationError.
     """
-    if complex_field:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    else:
-        v = rng.standard_normal(dim)
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    resid = np.inf
-    for it in range(max_iters):
-        w = apply_gram(v)
-        lam = float(np.real(np.vdot(v, w)))
-        resid = float(np.linalg.norm(w - lam * v))
-        if resid <= 0.5 * tol * max(lam, 1e-300):
-            return math.sqrt(max(lam, 0.0)), it + 1, v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, it + 1, v
-        v = w / nw
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations",
-        best_value=math.sqrt(max(lam, 0.0)),
-        residual=resid,
-    )
-
-
-def operator_norm(a: IntSparseOperator, tol: float = 1e-9, max_iters: int = 100_000) -> float:
-    """Spectral norm by power iteration on A*A with a fixed seeded start.
-
-    The result is floored at the largest column Euclidean norm, which is an
-    exact lower bound for any matrix.
-    """
-    if tol <= 0:
-        raise DomainError(f"tol={tol} must be positive")
-    if a.mat.nnz == 0:
-        return 0.0
-    A = a.mat.astype(np.float64).tocsr()
-    At = A.T.tocsr()
-    col_sq = np.asarray(A.multiply(A).sum(axis=0)).ravel()
-    floor = math.sqrt(float(col_sq.max()))
-    rng = rng_for(_POWER_SEED, "opnorm", a.dim, a.nnz)
-    value, _, _ = _power_sqrt_norm(lambda v: At @ (A @ v), a.dim, tol, max_iters, rng)
-    return max(value, floor)
+    mat = a.mat.tocsc(copy=True)
+    mat.eliminate_zeros()
+    per_col = np.diff(mat.indptr)
+    if per_col.max(initial=0) > 1:
+        col = int(np.argmax(per_col))
+        raise ValidationError(
+            f"column {col} has {per_col[col]} nonzeros; the tuple's operators "
+            "have at most one per column"
+        )
+    row_sq = np.bincount(mat.indices, weights=mat.data.astype(np.float64) ** 2,
+                         minlength=a.dim)
+    return math.sqrt(row_sq.max(initial=0.0))
 
 
 def apply_polynomial(t: OperatorTuple, p: SteinerPolynomial, vector) -> np.ndarray:
@@ -345,41 +323,30 @@ def apply_polynomial(t: OperatorTuple, p: SteinerPolynomial, vector) -> np.ndarr
     return acc
 
 
-def assemble_polynomial_matrix(t: OperatorTuple, p: SteinerPolynomial):
-    """Explicit integer matrix of sum_B sign(B) T_{b_1} ... T_{b_k} (scale 1)."""
-    if p.n != t.n or p.k != t.k:
-        raise ValidationError("polynomial incompatible with tuple")
-    total = sparse.csc_array((t.dim, t.dim), dtype=np.int64)
-    for block, sign in zip(p.system.blocks, p.signs):
-        prod = t.ops[block[0]].mat
-        for j in block[1:]:
-            prod = checked_matmul(t.ops[j].mat, prod)
-        total = total + int(sign) * prod
-    return total
-
-
-def polynomial_operator_norm(t: OperatorTuple, p: SteinerPolynomial, tol: float = 1e-9) -> float:
+def polynomial_operator_norm(t: OperatorTuple, p: SteinerPolynomial) -> float:
     """Spectral norm of p(T_1,...,T_n), including the tuple's scale^k.
 
-    The number of blocks is an exact floor at scale 1: the matrix maps e to
-    |S| g, so its largest column norm is at least |S|.
+    Grades run from 0 (the source e) to k (the sink g) and every T_l raises
+    the grade by one, so the degree-k polynomial kills every basis vector but
+    e and p(T) = c g e^T with c = (p(T)e)_g, which is |S| (criterion A3).
+    The norm is |c| scale^k, with c taken from the exact integer image of e.
     """
-    mat = assemble_polynomial_matrix(t, p)
-    raw = operator_norm(IntSparseOperator(t.dim, mat), tol=tol)
-    raw = max(raw, float(p.num_terms))
-    return raw * t.scale ** t.k
+    image = apply_polynomial(t.with_scale(1.0), p, t.basis.e_vector())
+    g = t.basis.g_index()
+    if np.any(np.delete(image, g)):
+        raise ValidationError("p(T)e has components off the sink g; the tuple is not graded")
+    return abs(int(image[g])) * t.scale ** t.k
 
 
-def contraction_normalize(t: OperatorTuple, tol: float = 1e-9):
+def contraction_normalize(t: OperatorTuple):
     """Rescale so every operator has norm at most 1.
 
-    Returns (tuple, max_norm).  Norms within the power-iteration tolerance of
-    1 count as contractive (k = 3 tuples over verified systems have norm
-    exactly 1 and come back unchanged); genuine k >= 4 anomalies sit at
+    Returns (tuple, max_norm).  k = 3 tuples over verified systems have norm
+    exactly 1 and come back unchanged; genuine k >= 4 anomalies sit at
     sqrt(2) or higher and are rescaled.
     """
-    nu = max(operator_norm(op, tol=tol) for op in t.ops)
-    if nu <= 1.0 + 10.0 * tol:
+    nu = max(operator_norm(op) for op in t.ops)
+    if nu <= 1.0:
         return t, nu
     return t.with_scale(t.scale / nu), nu
 
@@ -388,36 +355,49 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = 8, iters: int = 60
                            seed: int = 0) -> float:
     """Estimated sup of ||sum_j alpha_j T_j|| over ||alpha||_{q'} = 1.
 
-    Alternating maximization: for fixed alpha the top singular pair (u, v) of
-    M(alpha) = sum_j alpha_j T_j comes from power iteration; for fixed (u, v)
-    the optimal alpha aligns with s_j = <u, T_j v> by Hoelder equality.  Each
-    half-step is nondecreasing in the bilinear value, and the reported value
-    is the spectral norm at the final alpha (a certified lower bound of the
-    sup).  Deterministic per seed; the tuple's scale multiplies the result.
+    M(alpha) = sum_j alpha_j T_j raises the grade by one, so M* M is block
+    diagonal and ||M(alpha)|| is the largest norm among the dense blocks that
+    map grade m to grade m+1 (for k = 3: max(||alpha||_2, ||A(alpha)||) with
+    A(alpha) the n x n middle block).  Alternating maximization: for fixed
+    alpha the top singular pair (u, v) of the winning block comes from a dense
+    SVD; for fixed (u, v) the optimal alpha aligns with s_j = <u, T_j v> by
+    Hoelder equality.  Each half-step is nondecreasing in the bilinear value,
+    and the reported value is the spectral norm at the best alpha (a certified
+    lower bound of the sup).  Deterministic per seed; the tuple's scale
+    multiplies the result.
     """
     if not (1 < q < inf):
         raise DomainError(f"need 1 < q < inf, got q={q}")
     qp = q / (q - 1.0)
-    mats = [op.mat.astype(np.complex128).tocsr() for op in t.ops]
-    rows, cols, data, opidx = [], [], [], []
-    for j, op in enumerate(t.ops):
-        coo = op.mat.tocoo()
-        rows.append(coo.row)
-        cols.append(coo.col)
-        data.append(coo.data.astype(np.complex128))
-        opidx.append(np.full(coo.nnz, j))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    opidx = np.concatenate(opidx)
+    grades = [len(v[1]) if v[0] == "e" else (t.k - 1 if v[0] == "f" else t.k)
+              for v in t.basis.vectors]
+    bounds = np.searchsorted(grades, np.arange(t.k + 2))
+    coos = [op.mat.tocoo() for op in t.ops]
+    rows = np.concatenate([c.row for c in coos])
+    cols = np.concatenate([c.col for c in coos])
+    data = np.concatenate([c.data for c in coos]).astype(np.float64)
+    opidx = np.concatenate([np.full(c.nnz, j) for j, c in enumerate(coos)])
+    col_grade = np.searchsorted(bounds, cols, side="right") - 1
+    if np.any(np.searchsorted(bounds, rows, side="right") - 1 != col_grade + 1):
+        raise ValidationError("an operator entry does not raise the grade by one")
+    blocks = []  # per grade m: (shape, local rows, local cols, data, operator index)
+    for m in range(t.k):
+        sel = col_grade == m
+        shape = (bounds[m + 2] - bounds[m + 1], bounds[m + 1] - bounds[m])
+        blocks.append((shape, rows[sel] - bounds[m + 1], cols[sel] - bounds[m],
+                       data[sel], opidx[sel]))
 
-    def assemble(alpha):
-        return sparse.csr_array((data * alpha[opidx], (rows, cols)), shape=(t.dim, t.dim))
+    def top_triple(alpha):
+        best_triple = None
+        for shape, r, c, d, j in blocks:
+            mat = sparse.coo_array((d * alpha[j], (r, c)), shape=shape).toarray()
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            if best_triple is None or s[0] > best_triple[0]:
+                best_triple = (s[0], u[:, 0], vh[0].conj(), (r, c, d, j))
+        return best_triple
 
     def hoelder_align(s):
         mods = np.abs(s)
-        if not mods.any():
-            return None
         w = np.conj(s) * np.maximum(mods, 1e-300) ** (q - 2.0)
         w[mods == 0.0] = 0.0
         denom = float(np.sum(np.abs(w) ** qp)) ** (1.0 / qp)
@@ -431,21 +411,12 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = 8, iters: int = 60
         alpha = alpha / denom
         sigma_prev = -1.0
         for _ in range(iters):
-            M = assemble(alpha)
-            Mh = M.conj().T.tocsr()
-            sigma, _, v = _power_sqrt_norm(
-                lambda x: Mh @ (M @ x), t.dim, 1e-10, 100_000, rng, complex_field=True
-            )
-            best = max(best, sigma)
-            if sigma <= 0.0:
-                break
-            u = M @ v
-            u = u / np.linalg.norm(u)
-            svec = np.array([np.vdot(u, mat @ v) for mat in mats])
-            alpha_new = hoelder_align(svec)
-            if alpha_new is None:
-                break
-            alpha = alpha_new
+            sigma, u, v, (r, c, d, j) = top_triple(alpha)
+            best = max(best, float(sigma))
+            terms = np.conj(u[r]) * d * v[c]
+            svec = (np.bincount(j, weights=terms.real, minlength=t.n)
+                    + 1j * np.bincount(j, weights=terms.imag, minlength=t.n))
+            alpha = hoelder_align(svec)
             if abs(sigma - sigma_prev) <= 1e-11 * max(sigma, 1.0):
                 break
             sigma_prev = sigma

@@ -107,6 +107,13 @@ def test_op_build_and_check(tmp_path, capsys):
     assert all(report["gram_diagonal_01"])
     assert all(abs(v - 1.0) <= 1e-9 for v in report["operator_norms"])
 
+    # a second nonzero in the column of e under T_0 breaks the tuple's structure
+    with open(opdir / "operators.txt", "a") as fh:
+        fh.write("0 2 0 1\n")
+    code, _, stderr = run(capsys, "op", "check", "--in", str(opdir))
+    assert code == 1
+    assert "column 0" in stderr
+
 
 def test_ratio_fit_synthetic(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
@@ -137,6 +144,21 @@ def test_ratio_sweep_tiny(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["n"] for r in rows] == ["7", "9"]
+    assert (tmp_path / "sweep.csv.manifest.json").exists()
+
+
+def test_ratio_sweep_error_row_exits_one(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, stderr = run(capsys, "ratio", "sweep", "--k", "3", "--q", "inf",
+                          "--r", "inf", "--n", "2,7", "--seeds", "0", "--out", str(out),
+                          "--rounds", "2", "--starts", "2", "--iters", "100",
+                          "--search-starts", "1", "--search-iters", "50")
+    assert code == 1
+    assert "1 of 2 cells failed" in stderr
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n"] for r in rows] == ["2", "7"]
+    assert rows[0]["norm_method"].startswith("error:DomainError")
     assert (tmp_path / "sweep.csv.manifest.json").exists()
 
 

@@ -57,6 +57,13 @@ def test_ratio_point_k4_flagged_and_normalized():
     assert rec.normalized_flag
 
 
+def test_ratio_equals_floor_ratio_exactly():
+    # p(T) = |S| g e^T, so the operator norm is |S| scale^k bit for bit
+    for k, n in ((3, 7), (4, 10)):
+        rec = ratio_point(k, n, inf, 2.0, 0, FAST)
+        assert rec.ratio == rec.floor_ratio
+
+
 def test_reference_growth_cases():
     assert abs(reference_growth(3, inf, inf, 49) - 49 ** 0.5) <= 1e-12
     v = reference_growth(3, 2.0, 2.0, 49)
@@ -110,6 +117,18 @@ def test_sweep_error_rows_keep_going(tmp_path):
     assert records[1].num_blocks == 7
     loaded = load_records(out)
     assert math.isnan(loaded[0].ratio) and loaded[1].num_blocks == 7
+
+
+def test_sweep_propagates_programming_errors(monkeypatch, tmp_path):
+    from steinervn import defect
+
+    def broken(*args):
+        raise TypeError("bug in a cell")
+
+    monkeypatch.setattr(defect, "ratio_point", broken)
+    cfg = SweepConfig(3, inf, inf, [7], [0], FAST, str(tmp_path / "bug.csv"))
+    with pytest.raises(TypeError, match="bug in a cell"):
+        sweep(cfg)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,11 +1,13 @@
 import math
+from functools import reduce
 from math import comb, inf
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from steinervn.designs import PartialSteinerSystem, skolem_construct
+from steinervn.designs import (PartialSteinerSystem, greedy_construct,
+                               skolem_construct)
 from steinervn.errors import DomainError, ValidationError
 from steinervn.norms import estimate_norm
 from steinervn.operators import (IntSparseOperator, OperatorTuple,
@@ -16,6 +18,7 @@ from steinervn.operators import (IntSparseOperator, OperatorTuple,
                                  operator_norm, polynomial_operator_norm,
                                  save_tuple)
 from steinervn.polynomials import SteinerPolynomial, random_signs
+from steinervn.seeding import rng_for
 
 
 def single_block_tuple(sign=1):
@@ -28,6 +31,12 @@ def sts_tuple(n, seed=42):
     from steinervn.designs import bose_construct
 
     system = bose_construct(n) if n % 6 == 3 else skolem_construct(n)
+    p = SteinerPolynomial(system, random_signs(system, seed))
+    return p, build_operators(p)
+
+
+def greedy_tuple(n, k, seed=42):
+    system = greedy_construct(n, k, seed)
     p = SteinerPolynomial(system, random_signs(system, seed))
     return p, build_operators(p)
 
@@ -197,6 +206,22 @@ def test_operator_norm_sanity_envelope():
         assert col_floor - 1e-9 <= v <= upper + 1e-9
 
 
+def test_operator_norm_matches_dense_lapack():
+    for p, t in (sts_tuple(7), sts_tuple(9), greedy_tuple(10, 4), greedy_tuple(9, 5)):
+        for op in t.ops:
+            reference = np.linalg.norm(op.mat.toarray().astype(float), 2)
+            assert abs(operator_norm(op) - reference) <= 1e-12 * max(reference, 1.0)
+
+
+def test_operator_norm_rejects_two_nonzeros_in_a_column():
+    _, t = sts_tuple(7)
+    edited = t.ops[0].mat.tolil()
+    col = t.basis.index[("e", ())]
+    edited[t.basis.index[("e", (1,))], col] = 1  # T_0 e already has e(0)
+    with pytest.raises(ValidationError, match="column"):
+        operator_norm(IntSparseOperator(t.dim, edited.tocsc()))
+
+
 def test_contraction_normalize():
     _, t = k4_anomaly_tuple()
     normalized, nu = contraction_normalize(t)
@@ -249,6 +274,16 @@ def test_polynomial_operator_norm_floor_under_scaling():
     assert abs(value - 7 ** -0.5) <= 1e-6  # 7 * 7^{-3/2}
 
 
+def test_polynomial_operator_norm_matches_dense_product():
+    for (p, t), scale in ((sts_tuple(7), 0.7), (greedy_tuple(10, 4), 1.3)):
+        dense = [scale * op.mat.toarray().astype(float) for op in t.ops]
+        pt = sum(float(sign) * reduce(np.matmul, [dense[j] for j in block])
+                 for block, sign in zip(p.system.blocks, p.signs))
+        reference = np.linalg.norm(pt, 2)
+        value = polynomial_operator_norm(t.with_scale(scale), p)
+        assert abs(value - reference) <= 1e-12 * reference
+
+
 def test_scaling_cubes_the_norm():
     p, t = sts_tuple(7)
     v1 = polynomial_operator_norm(t.with_scale(0.5), p)
@@ -291,6 +326,39 @@ def test_lincomb_matches_polarization_identity():
     sup = linear_combination_sup(t, 2.0, starts=8, iters=60, seed=1)
     norm2 = estimate_norm(p, 2.0, starts=64, seed=2).value
     assert abs(sup - max(1.0, 6.0 * norm2)) <= 0.02 * sup
+
+
+def dense_lincomb(t, q, starts, iters, seed):
+    """The alternation of linear_combination_sup on full dim x dim matrices."""
+    qp = q / (q - 1.0)
+    dense = [op.mat.toarray().astype(complex) for op in t.ops]
+    best = 0.0
+    for s_idx in range(starts):
+        rng = rng_for(seed, "lincomb", s_idx)
+        alpha = rng.standard_normal(t.n) + 1j * rng.standard_normal(t.n)
+        alpha = alpha / np.sum(np.abs(alpha) ** qp) ** (1.0 / qp)
+        sigma_prev = -1.0
+        for _ in range(iters):
+            u, s, vh = np.linalg.svd(sum(a * d for a, d in zip(alpha, dense)))
+            sigma = s[0]
+            best = max(best, sigma)
+            svec = np.array([np.vdot(u[:, 0], d @ vh[0].conj()) for d in dense])
+            w = np.conj(svec) * np.abs(svec) ** (q - 2.0)
+            alpha = w / np.sum(np.abs(w) ** qp) ** (1.0 / qp)
+            if abs(sigma - sigma_prev) <= 1e-11 * max(sigma, 1.0):
+                break
+            sigma_prev = sigma
+    return best * t.scale
+
+
+def test_lincomb_matches_dense_alternation():
+    for n in (7, 9):
+        _, t = sts_tuple(n)
+        t = t.with_scale(0.8)
+        for q in (2.0, 3.0):
+            value = linear_combination_sup(t, q, starts=4, iters=30, seed=5)
+            reference = dense_lincomb(t, q, starts=4, iters=30, seed=5)
+            assert abs(value - reference) <= 1e-9 * reference
 
 
 def test_lincomb_rejects_endpoints():
