@@ -128,14 +128,7 @@ def _cmd_design_verify(args):
 # ---------------------------------------------------------------------------
 
 def _budgets_from(args) -> Budgets:
-    return Budgets(
-        rounds=getattr(args, "rounds", 32),
-        starts=getattr(args, "starts", 64),
-        iters=getattr(args, "iters", 2000),
-        tol=getattr(args, "tol", 1e-10),
-        search_starts=getattr(args, "search_starts", 4),
-        search_iters=getattr(args, "search_iters", 150),
-    )
+    return Budgets(**{name: getattr(args, name) for name in _BUDGET_HELP})
 
 
 def _estimate_payload(est) -> dict:
@@ -156,7 +149,7 @@ def _cmd_poly_sample(args):
     system = load_system(args.design)
     budgets = _budgets_from(args)
     poly, est = best_of_signs(system, args.q, args.rounds,
-                              derive_seed(args.seed, "signs"), budgets.optimizer())
+                              derive_seed(args.seed, "signs"), budgets)
     save_polynomial(poly, args.out)
     _write_manifest(args.out, args, started, master_seed=args.seed,
                     derived_seeds={"signs": derive_seed(args.seed, "signs")})
@@ -229,10 +222,9 @@ def _parse_int_list(text: str) -> list:
 
 def _cmd_ratio_sweep(args):
     started = _utcnow()
-    workers = int(os.environ.get("VN_THREADS", "0")) or 1
     config = SweepConfig(args.k, args.q, args.r, _parse_int_list(args.n),
                          _parse_int_list(args.seeds), _budgets_from(args), args.out)
-    records = sweep(config, workers=workers)
+    records = sweep(config)
     _write_manifest(args.out, args, started,
                     derived_seeds={f"n={r.n},seed={r.seed}": derive_seed(r.seed, "signs")
                                    for r in records})
@@ -293,16 +285,22 @@ def _cmd_plot(args):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_budget_flags(sp, include_rounds=True):
-    if include_rounds:
-        sp.add_argument("--rounds", type=int, default=32, help="sign-search rounds")
-    sp.add_argument("--starts", type=int, default=64, help="final ascent starts")
-    sp.add_argument("--iters", type=int, default=2000, help="max ascent iterations")
-    sp.add_argument("--tol", type=float, default=1e-10, help="relative gain stop")
-    sp.add_argument("--search-starts", type=int, default=4, dest="search_starts",
-                    help="per-round ascent starts during the sign search")
-    sp.add_argument("--search-iters", type=int, default=150, dest="search_iters",
-                    help="per-round iteration cap during the sign search")
+_BUDGET_HELP = {
+    "rounds": "sign-search rounds",
+    "starts": "final ascent starts",
+    "iters": "max ascent iterations",
+    "tol": "relative gain stop",
+    "search_starts": "per-round ascent starts during the sign search",
+    "search_iters": "per-round iteration cap during the sign search",
+}
+
+
+def _add_budget_flags(sp, names=tuple(_BUDGET_HELP)):
+    defaults = Budgets()
+    for name in names:
+        value = getattr(defaults, name)
+        sp.add_argument("--" + name.replace("_", "-"), dest=name, type=type(value),
+                        default=value, help=_BUDGET_HELP[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,10 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     norm = psub.add_parser("norm", help="estimate a sup-norm")
     norm.add_argument("--poly", required=True)
     norm.add_argument("--q", type=_parse_q, required=True)
-    norm.add_argument("--starts", type=int, default=64)
-    norm.add_argument("--iters", type=int, default=2000)
-    norm.add_argument("--tol", type=float, default=1e-10)
     norm.add_argument("--seed", type=int, required=True)
+    _add_budget_flags(norm, ("starts", "iters", "tol"))
     norm.add_argument("--json", action="store_true")
     norm.set_defaults(func=_cmd_poly_norm)
 

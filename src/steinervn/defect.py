@@ -18,6 +18,7 @@ certified lower story.  Both appear in every record.
 import csv
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from math import inf, log
@@ -29,7 +30,7 @@ from .errors import ConvergenceError, DomainError, ValidationError
 from .norms import ksz_polydisk_bound
 from .operators import (build_operators, contraction_normalize,
                         linear_combination_sup, polynomial_operator_norm)
-from .polynomials import OptimizerBudget, best_of_signs
+from .polynomials import Budgets, best_of_signs
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -39,25 +40,6 @@ CSV_COLUMNS = ["k", "q", "r", "n", "seed", "num_blocks", "norm_est", "norm_metho
                "normalized_flag", "elapsed_ms"]
 
 IVP_FLAG_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Budgets:
-    """Optimizer settings for one ratio cell."""
-
-    rounds: int = 32
-    starts: int = 64
-    iters: int = 2000
-    tol: float = 1e-10
-    search_starts: int = 4
-    search_iters: int = 150
-    search_tol: float = 1e-7
-    lincomb_starts: int = 6
-    lincomb_iters: int = 40
-
-    def optimizer(self) -> OptimizerBudget:
-        return OptimizerBudget(self.search_starts, self.search_iters, self.search_tol,
-                               self.starts, self.iters, self.tol)
 
 
 @dataclass
@@ -122,7 +104,7 @@ def ratio_point(k: int, n: int, q, r, seed: int, budgets: Budgets | None = None)
 
     system = design_for(k, n, seed)
     poly, est = best_of_signs(system, q, budgets.rounds, derive_seed(seed, "signs"),
-                              budgets.optimizer())
+                              budgets)
     tup = build_operators(poly)
     normalized = k >= 4
     if normalized:
@@ -173,14 +155,16 @@ def _write_rows(path, records):
             writer.writerow([_format_cell(getattr(rec, col)) for col in CSV_COLUMNS])
 
 
-def sweep(config: SweepConfig, workers: int = 1) -> list:
+def sweep(config: SweepConfig) -> list:
     """One RatioRecord per (n, seed) cell, optionally streamed to CSV.
 
-    Cell failures raised by the package (validation, domain and convergence
-    errors, floating-point traps) become error rows (NaN numerics, the error
-    message in norm_method) and the sweep continues; any other exception is a
-    programming error and propagates.  Output records are sorted by (n, seed)
-    regardless of execution order, and identical configs produce
+    Cells run serially.  With an output path, the records finished so far are
+    rewritten to ``<out>.partial`` after every cell, and that checkpoint is
+    removed once the full CSV is written.  Cell failures raised by the package
+    (validation, domain and convergence errors, floating-point traps) become
+    error rows (NaN numerics, the error message in norm_method) and the sweep
+    continues; any other exception is a programming error and propagates.
+    Output records are sorted by (n, seed), and identical configs produce
     byte-identical CSVs apart from the elapsed_ms column.
     """
     if not config.n_list:
@@ -188,38 +172,26 @@ def sweep(config: SweepConfig, workers: int = 1) -> list:
     if list(config.n_list) != sorted(config.n_list):
         raise ValidationError("n list must be ascending")
 
-    cells = [(n, s) for n in config.n_list for s in config.seeds]
-
-    def run_cell(cell):
-        n, s = cell
-        try:
-            return ratio_point(config.k, n, config.q, config.r, s, config.budgets)
-        except (ValidationError, DomainError, ConvergenceError, FloatingPointError) as exc:
-            logger.warning("sweep cell (n=%d, seed=%d) failed: %s", n, s, exc)
-            nan = float("nan")
-            return RatioRecord(config.k, float(config.q), float(config.r), n, s, 0,
-                               nan, f"error:{type(exc).__name__}:{exc}", nan, nan,
-                               nan, nan, nan, False, 0)
-
+    partial = config.out_path + ".partial" if config.out_path else None
     records = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        partial = config.out_path + ".partial" if config.out_path else None
-        for cell in cells:
-            records.append(run_cell(cell))
+    for n in config.n_list:
+        for s in config.seeds:
+            try:
+                rec = ratio_point(config.k, n, config.q, config.r, s, config.budgets)
+            except (ValidationError, DomainError, ConvergenceError, FloatingPointError) as exc:
+                logger.warning("sweep cell (n=%d, seed=%d) failed: %s", n, s, exc)
+                nan = float("nan")
+                rec = RatioRecord(config.k, float(config.q), float(config.r), n, s, 0,
+                                  nan, f"error:{type(exc).__name__}:{exc}", nan, nan,
+                                  nan, nan, nan, False, 0)
+            records.append(rec)
             if partial:
                 _write_rows(partial, records)
     records.sort(key=lambda rec: (rec.n, rec.seed))
     if config.out_path:
         _write_rows(config.out_path, records)
-        import os
-
-        if workers <= 1 and os.path.exists(config.out_path + ".partial"):
-            os.remove(config.out_path + ".partial")
+        if os.path.exists(partial):
+            os.remove(partial)
     return records
 
 
@@ -243,6 +215,18 @@ def load_records(path) -> list:
                 elapsed_ms=int(row["elapsed_ms"]),
             ))
     return out
+
+
+def least_squares_line(xs, ys) -> tuple:
+    """OLS (slope, intercept) of ys against xs; slope 0 when all xs coincide."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    xc = xs - xs.mean()
+    sxx = xc @ xc
+    if sxx == 0.0:
+        return 0.0, float(ys.mean())
+    slope = float(xc @ (ys - ys.mean()) / sxx)
+    return slope, float(ys.mean() - slope * xs.mean())
 
 
 def fit_exponent(records: list, field_name: str = "ratio",
@@ -271,10 +255,8 @@ def fit_exponent(records: list, field_name: str = "ratio",
         ys.append(log(med) - log_correction * log(log(n)))
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    xc = xs - xs.mean()
+    slope, intercept = least_squares_line(xs, ys)
     yc = ys - ys.mean()
-    slope = float(xc @ yc / (xc @ xc))
-    intercept = float(ys.mean() - slope * xs.mean())
     ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
     ss_tot = float(yc @ yc)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
@@ -311,7 +293,7 @@ def d32_experiment(n: int, seed: int, budgets: Budgets | None = None) -> JointCo
     budgets = budgets or Budgets()
     system = design_for(3, n, seed)
     poly, est = best_of_signs(system, 2.0, budgets.rounds, derive_seed(seed, "signs"),
-                              budgets.optimizer())
+                              budgets)
     tup = build_operators(poly).with_scale(est.value ** -0.5)
     sup = linear_combination_sup(tup, 2.0, budgets.lincomb_starts,
                                  budgets.lincomb_iters, derive_seed(seed, "lincomb"))

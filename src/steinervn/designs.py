@@ -20,8 +20,9 @@ from .errors import DomainError, ValidationError
 from .seeding import rng_for
 
 # Above this many candidate k-subsets the greedy stops enumerating and
-# falls back to streaming rejection sampling (memory bound).
-ENUMERATION_LIMIT = 10**8
+# falls back to streaming rejection sampling (memory bound: the enumeration
+# holds every candidate plus an int64 permutation of them, 80 MB at the limit).
+ENUMERATION_LIMIT = 10**7
 
 
 @dataclass
@@ -107,20 +108,6 @@ def cardinality_bound_holds(system: PartialSteinerSystem) -> bool:
     return system.num_blocks * comb(system.k, system.t) <= comb(system.n, system.t)
 
 
-def _unrank_subset(rank: int, n: int, k: int) -> tuple:
-    """k-subset of {0..n-1} with the given lexicographic rank."""
-    out = []
-    x = 0
-    r = rank
-    for i in range(k):
-        while comb(n - 1 - x, k - 1 - i) <= r:
-            r -= comb(n - 1 - x, k - 1 - i)
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
 def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
     """Maximal partial Steiner system with t = k-1 by seeded random greedy.
 
@@ -150,8 +137,13 @@ def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
         return True
 
     if total <= ENUMERATION_LIMIT:
-        for rank in rng.permutation(total):
-            try_add(_unrank_subset(int(rank), n, k))
+        # combinations() yields the k-subsets in lexicographic rank order.
+        subsets = np.fromiter(combinations(range(n), k), count=total,
+                              dtype=np.dtype((np.min_scalar_type(n - 1), k)))
+        order = rng.permutation(total)
+        for lo in range(0, total, 4096):
+            for block in map(tuple, subsets[order[lo:lo + 4096]].tolist()):
+                try_add(block)
     else:
         # Streaming fallback: rejection sampling without full enumeration.
         # Maximality is not certified on this path.

@@ -336,12 +336,7 @@ def _local_phase_refine(p, theta, spacing):
 
 def _sample_sphere(rng, count, n, q):
     z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    norms = np.abs(z)
-    if q == 1:
-        scale = norms.sum(axis=1)
-    else:
-        scale = (norms ** q).sum(axis=1) ** (1.0 / q)
-    return z / scale[:, None]
+    return z / _qnorm_rows(z, q)[:, None]
 
 
 def _local_sphere_refine(p, z, q, rng):
@@ -350,11 +345,7 @@ def _local_sphere_refine(p, z, q, rng):
     for _ in range(800):
         pert = rng.standard_normal((256, z.size)) + 1j * rng.standard_normal((256, z.size))
         cand = z[None, :] + radius * pert
-        if q == 1:
-            scale = np.abs(cand).sum(axis=1)
-        else:
-            scale = (np.abs(cand) ** q).sum(axis=1) ** (1.0 / q)
-        cand = cand / scale[:, None]
+        cand = cand / _qnorm_rows(cand, q)[:, None]
         vals = np.abs(evaluate_many(p, cand))
         j = int(np.argmax(vals))
         if vals[j] > best:

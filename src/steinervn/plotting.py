@@ -6,6 +6,7 @@ compared in tests and diffed across runs.
 
 import math
 
+from .defect import least_squares_line
 from .errors import ValidationError
 
 WIDTH, HEIGHT = 640, 480
@@ -14,17 +15,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 24, 56
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _ols(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0.0:
-        return 0.0, my
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    return slope, my - slope * mx
 
 
 def render_scatter(points, x_label: str, y_label: str, loglog: bool) -> str:
@@ -61,7 +51,7 @@ def render_scatter(points, x_label: str, y_label: str, loglog: bool) -> str:
         py = MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
         return px, py
 
-    slope, intercept = _ols(xs, ys)
+    slope, intercept = least_squares_line(xs, ys)
 
     parts = []
     parts.append(

@@ -153,46 +153,56 @@ def random_signs(system: PartialSteinerSystem, seed: int) -> np.ndarray:
     return (2 * rng.integers(0, 2, size=system.num_blocks, dtype=np.int8) - 1).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class OptimizerBudget:
-    """Two-tier norm estimation budget for the sign search.
+# Relative-gain stop of the per-round search estimates; they only rank sign
+# patterns, so they stop well before the final estimate does.
+SEARCH_TOL = 1e-7
 
-    Each candidate sign pattern is scored with the cheap (search_*) settings,
-    which only need to rank patterns; the winner is re-estimated at the full
-    (final_*) settings.
+
+@dataclass(frozen=True)
+class Budgets:
+    """Optimizer settings for one ratio cell.
+
+    Each candidate sign pattern is scored with the cheap search_* settings,
+    which only need to rank patterns; the winner is re-estimated with
+    ``starts``, ``iters`` and ``tol``.  The lincomb_* settings drive the
+    joint-condition sup of the d32 experiment.
     """
 
+    rounds: int = 32
+    starts: int = 64
+    iters: int = 2000
+    tol: float = 1e-10
     search_starts: int = 4
     search_iters: int = 150
-    search_tol: float = 1e-7
-    final_starts: int = 64
-    final_iters: int = 2000
-    tol: float = 1e-10
+    lincomb_starts: int = 6
+    lincomb_iters: int = 40
 
 
 def best_of_signs(system: PartialSteinerSystem, q, rounds: int, seed: int,
-                  budget: OptimizerBudget | None = None):
+                  budgets: Budgets | None = None):
     """Smallest estimated q-norm among ``rounds`` seeded random sign draws.
 
-    Returns (polynomial, estimate) where the estimate is recomputed at the
-    full budget for the winning pattern.  Round r draws its signs with seed
-    derive_seed(seed, "round", r), so the candidate set is independent of
-    evaluation order; ties go to the lowest round index.
+    Returns (polynomial, estimate).  Every round is scored with the search
+    settings of ``budgets`` (default ``Budgets()``), and the estimate is
+    recomputed for the winning pattern with its ``starts``, ``iters`` and
+    ``tol``.  Round r draws its signs with seed derive_seed(seed, "round", r),
+    so the candidate set is independent of evaluation order; ties go to the
+    lowest round index.
     """
     from .norms import estimate_norm  # deferred: norms imports this module's types
 
     if rounds < 1:
         raise DomainError(f"rounds={rounds} must be >= 1")
-    budget = budget or OptimizerBudget()
+    budgets = budgets or Budgets()
     best_round, best_poly, best_value = None, None, math.inf
     for r in range(rounds):
         poly = SteinerPolynomial(system, random_signs(system, derive_seed(seed, "round", r)))
-        est = estimate_norm(poly, q, starts=budget.search_starts, max_iters=budget.search_iters,
-                            tol=budget.search_tol, seed=derive_seed(seed, "search", r))
+        est = estimate_norm(poly, q, starts=budgets.search_starts, max_iters=budgets.search_iters,
+                            tol=SEARCH_TOL, seed=derive_seed(seed, "search", r))
         if est.value < best_value:
             best_round, best_poly, best_value = r, poly, est.value
-    final = estimate_norm(best_poly, q, starts=budget.final_starts, max_iters=budget.final_iters,
-                          tol=budget.tol, seed=derive_seed(seed, "final", best_round))
+    final = estimate_norm(best_poly, q, starts=budgets.starts, max_iters=budgets.iters,
+                          tol=budgets.tol, seed=derive_seed(seed, "final", best_round))
     return best_poly, final
 
 

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from steinervn.cli import main
-from steinervn.defect import RatioRecord, fit_exponent
+from steinervn.cli import _budgets_from, build_parser, main
+from steinervn.defect import Budgets, RatioRecord, fit_exponent
 
 
 def run(capsys, *argv):
@@ -210,6 +210,16 @@ def test_gen_output_reproducible(tmp_path, capsys):
         run(capsys, "design", "gen", "--n", "15", "--method", "greedy",
             "--seed", "4", "--out", str(out))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio", "sweep", "--k", "3", "--q", "inf", "--r", "inf", "--n", "7",
+     "--seeds", "0", "--out", "s.csv"],
+    ["ratio", "d32", "--n", "7", "--seed", "0"],
+    ["poly", "sample", "--design", "d.txt", "--seed", "0", "--out", "p.txt"],
+])
+def test_budget_flag_defaults_are_budgets_defaults(argv):
+    assert _budgets_from(build_parser().parse_args(argv)) == Budgets()
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -3,12 +3,14 @@ from math import comb
 
 import pytest
 
+from steinervn import designs
 from steinervn.designs import (PartialSteinerSystem, bose_construct,
                                cardinality_bound_holds, density_report,
                                greedy_construct, is_exact_cover, load_system,
                                packing_density_target, save_system,
                                skolem_construct, verify, verify_system)
 from steinervn.errors import DomainError, ValidationError
+from steinervn.seeding import rng_for
 
 
 def coverage_counts(blocks, t, n):
@@ -126,6 +128,50 @@ def test_greedy_maximal(n, k):
         if cand in system.blocks:
             continue
         assert any(sub in used for sub in combinations(cand, k - 1)), cand
+
+
+def unrank_subset(rank, n, k):
+    """Reference: the k-subset of {0..n-1} with the given lexicographic rank."""
+    out = []
+    x = 0
+    for i in range(k):
+        while comb(n - 1 - x, k - 1 - i) <= rank:
+            rank -= comb(n - 1 - x, k - 1 - i)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def reference_greedy_blocks(n, k, seed):
+    """Reference greedy: unrank each candidate of the seeded permutation."""
+    rng = rng_for(seed, "greedy", n, k)
+    used, accepted = set(), []
+    for rank in rng.permutation(comb(n, k)):
+        block = unrank_subset(int(rank), n, k)
+        subs = list(combinations(block, k - 1))
+        if not any(s in used for s in subs):
+            used.update(subs)
+            accepted.append(block)
+    return tuple(sorted(accepted))
+
+
+@pytest.mark.parametrize("n,k", [(26, 4), (34, 4), (20, 3), (50, 3), (9, 5)])
+def test_greedy_matches_unranking_reference(n, k):
+    for seed in (0, 1, 2):
+        assert greedy_construct(n, k, seed).blocks == reference_greedy_blocks(n, k, seed)
+
+
+def test_greedy_streaming_fallback(monkeypatch):
+    enumerated = greedy_construct(12, 3, seed=4)
+    monkeypatch.setattr(designs, "ENUMERATION_LIMIT", comb(12, 3) - 1)
+    system = greedy_construct(12, 3, seed=4)
+    ok, _ = verify(system)
+    assert ok and system.num_blocks > 0
+    assert greedy_construct(12, 3, seed=4).blocks == system.blocks
+    # the sampled visiting order differs from the permutation, so a different
+    # packing shows that the streaming path ran
+    assert system.blocks != enumerated.blocks
 
 
 def test_greedy_k2_is_matching():

@@ -3,7 +3,7 @@ import pytest
 
 from steinervn.designs import PartialSteinerSystem, skolem_construct
 from steinervn.errors import DomainError, ValidationError
-from steinervn.polynomials import (OptimizerBudget, SteinerPolynomial,
+from steinervn.polynomials import (Budgets, SteinerPolynomial,
                                    best_of_signs, evaluate, evaluate_many,
                                    gradient_sq_modulus, load_polynomial,
                                    random_signs, relabel, save_polynomial)
@@ -145,9 +145,8 @@ def test_random_signs_balanced():
 
 def test_best_of_signs_rounds_one_degenerate():
     system = skolem_construct(7)
-    budget = OptimizerBudget(search_starts=4, search_iters=100, final_starts=8,
-                             final_iters=500)
-    poly, est = best_of_signs(system, np.inf, rounds=1, seed=5, budget=budget)
+    budgets = Budgets(search_starts=4, search_iters=100, starts=8, iters=500)
+    poly, est = best_of_signs(system, np.inf, rounds=1, seed=5, budgets=budgets)
     expected_signs = random_signs(system, derive_seed(5, "round", 0))
     assert np.array_equal(poly.signs, expected_signs)
     direct = estimate_norm(poly, np.inf, starts=8, max_iters=500,
