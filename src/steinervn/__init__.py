@@ -19,6 +19,5 @@ from .operators import (HilbertBasis, IntSparseOperator, OperatorTuple,
                         gram_diagonal_check, linear_combination_sup,
                         load_tuple, operator_norm, polynomial_operator_norm,
                         save_tuple)
-from .polynomials import (SteinerPolynomial, best_of_signs, evaluate,
-                          gradient_sq_modulus, load_polynomial, random_signs,
-                          save_polynomial)
+from .polynomials import (SteinerPolynomial, best_of_signs, load_polynomial,
+                          random_signs, save_polynomial)

@@ -10,13 +10,4 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations.
-
-    Carries the best value seen so far and the last residual, so callers can
-    decide whether the partial answer is usable.
-    """
-
-    def __init__(self, message, best_value=None, residual=None):
-        super().__init__(message)
-        self.best_value = best_value
-        self.residual = residual
+    """Every start of a norm estimate was discarded as non-finite."""

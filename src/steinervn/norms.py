@@ -14,13 +14,14 @@ from math import comb, factorial, inf, log
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .polynomials import (SteinerPolynomial, evaluate_compensated,
+from .polynomials import (Budgets, SteinerPolynomial, evaluate_compensated,
                           evaluate_many, value_and_partials)
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
 
 ARMIJO = 1e-4
+BURNIN_STEPS = 30
 STEP0 = 0.5
 STEP_SHRINK = 0.5
 ORACLE_MAX_N = 7
@@ -76,7 +77,7 @@ def _check_q(q):
 # Projected gradient ascent
 # ---------------------------------------------------------------------------
 
-def _align_burnin(p, z, q, steps=30):
+def _align_burnin(p, z, q):
     """Sharpen a random start by Hoelder alignment before the ascent.
 
     Each step replaces z with the unit-q-norm point maximizing the
@@ -88,7 +89,7 @@ def _align_burnin(p, z, q, steps=30):
     optimum is a single coordinate), so callers skip it there.
     """
     best_f, best_z = -1.0, z
-    for _ in range(steps):
+    for _ in range(BURNIN_STEPS):
         val, part = value_and_partials(p, z)
         f = abs(val) ** 2
         if f > best_f:
@@ -202,7 +203,8 @@ def _sphere_ascent(p, z, q, max_iters, tol):
     for _ in range(max_iters):
         iters += 1
         val, partials = value_and_partials(p, z)
-        grad_f = 2.0 * np.conj(val) * partials  # complex packing of (df/dx, df/dy)
+        # conjugate of the packing 2 p conj(dp) of (df/dx, df/dy): a known defect (ROADMAP)
+        grad_f = 2.0 * np.conj(val) * partials
         direction = grad_f - 2.0 * p.k * f * _sphere_normal(z, q)
         gn2 = float(np.sum(direction.real ** 2 + direction.imag ** 2))
         if not np.isfinite(gn2):
@@ -240,8 +242,9 @@ def _certify(p, witness, q, method, starts, iterations, seed):
                         method, starts, iterations, seed)
 
 
-def estimate_norm(p: SteinerPolynomial, q, starts: int = 64, max_iters: int = 2000,
-                  tol: float = 1e-10, seed: int = 0) -> NormEstimate:
+def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
+                  max_iters: int = Budgets.iters, tol: float = Budgets.tol,
+                  seed: int = 0) -> NormEstimate:
     """Best witness over ``starts`` runs of projected gradient ascent.
 
     For q = inf the ascent runs over phase vectors z_j = e^{i theta_j} (the

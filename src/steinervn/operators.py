@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DomainError, ValidationError
-from .polynomials import SteinerPolynomial
+from .polynomials import Budgets, SteinerPolynomial
 from .seeding import rng_for
 
 # Entry-magnitude budget before a product could overflow int64; products
@@ -98,11 +98,6 @@ class IntSparseOperator:
         coo = self.mat.tocoo()
         triples = sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
         return [(r, c, int(v)) for c, r, v in triples]
-
-    def max_abs(self) -> int:
-        if self.mat.nnz == 0:
-            return 0
-        return int(np.abs(self.mat.data).max())
 
 
 def _from_triples(dim, rows, cols, vals) -> IntSparseOperator:
@@ -217,10 +212,6 @@ def checked_matmul(a, b):
             "entries are larger than this construction ever produces"
         )
     return a @ b
-
-
-def sparse_equal(a, b) -> bool:
-    return (a - b).nnz == 0
 
 
 @dataclass
@@ -351,8 +342,8 @@ def contraction_normalize(t: OperatorTuple):
     return t.with_scale(t.scale / nu), nu
 
 
-def linear_combination_sup(t: OperatorTuple, q, starts: int = 8, iters: int = 60,
-                           seed: int = 0) -> float:
+def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_starts,
+                           iters: int = Budgets.lincomb_iters, seed: int = 0) -> float:
     """Estimated sup of ||sum_j alpha_j T_j|| over ||alpha||_{q'} = 1.
 
     M(alpha) = sum_j alpha_j T_j raises the grade by one, so M* M is block

@@ -1,4 +1,4 @@
-"""Steiner unimodular polynomials: evaluation, gradients, sign sampling.
+"""Steiner unimodular polynomials: evaluation, partial derivatives, sign sampling.
 
 A Steiner unimodular polynomial is a k-homogeneous polynomial
 p(z) = sum_J c_J * z_J whose support J runs over the blocks of a partial
@@ -66,26 +66,12 @@ def _monomials(points: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _terms(p: SteinerPolynomial, z: np.ndarray) -> np.ndarray:
-    if p.num_terms == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return p.signs * _monomials(z[None, :], p.system.blocks_array())[0]
-
-
-def evaluate(p: SteinerPolynomial, z) -> complex:
-    """Exact signed sum of the monomials of p at the point z."""
-    t = _terms(p, _as_point(p, z))
-    if t.size > COMPENSATED_THRESHOLD:
-        return complex(math.fsum(t.real), math.fsum(t.imag))
-    return complex(t.sum())
-
-
 def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
-    """Evaluation with compensated (fsum) summation regardless of size.
+    """Signed sum of the monomials of p at the point z, summed with fsum.
 
-    Used to recertify optimizer witnesses independently of the ascent path.
+    Used to certify optimizer witnesses independently of the ascent path.
     """
-    t = _terms(p, _as_point(p, z))
+    t = p.signs * _monomials(_as_point(p, z)[None, :], p.system.blocks_array())[0]
     return complex(math.fsum(t.real), math.fsum(t.imag))
 
 
@@ -131,18 +117,6 @@ def value_and_partials(p: SteinerPolynomial, z) -> tuple:
     else:
         val = complex(terms.sum())
     return val, partials
-
-
-def gradient_sq_modulus(p: SteinerPolynomial, z) -> np.ndarray:
-    """Gradient of |p(z)|^2 in the 2n real coordinates.
-
-    Layout: first n entries are d/dRe(z_j), last n are d/dIm(z_j).  Since p is
-    analytic, d|p|^2/dx_j = 2 Re(conj(p) dp/dz_j) and
-    d|p|^2/dy_j = -2 Im(conj(p) dp/dz_j).
-    """
-    val, partials = value_and_partials(p, z)
-    w = np.conj(val) * partials
-    return np.concatenate([2.0 * w.real, -2.0 * w.imag])
 
 
 def random_signs(system: PartialSteinerSystem, seed: int) -> np.ndarray:

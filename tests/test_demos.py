@@ -1,4 +1,4 @@
-"""The quick narrative demos run to completion from a clean directory."""
+"""Every narrative demo runs to completion from a clean directory."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["01_steiner_designs.py", "03_operator_tuples.py",
+@pytest.mark.parametrize("script", ["01_steiner_designs.py", "02_polynomial_norms.py",
+                                    "03_operator_tuples.py", "04_defect_sweep.py",
                                     "05_joint_condition.py"])
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)

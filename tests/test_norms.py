@@ -9,7 +9,7 @@ from steinervn.errors import DomainError
 from steinervn.norms import (analytic_bounds, brute_force_norm, estimate_norm,
                              ksz_polydisk_bound, polarization_constant, qnorm,
                              recertify)
-from steinervn.polynomials import SteinerPolynomial, random_signs
+from steinervn.polynomials import SteinerPolynomial, random_signs, value_and_partials
 from steinervn.seeding import derive_seed
 
 
@@ -103,6 +103,24 @@ def test_sts7_estimate_matches_oracle_within_2pct():
     est = estimate_norm(p, inf, starts=64, seed=0)
     oracle = brute_force_norm(p, inf, 16)
     assert abs(est.value - oracle.value) <= 0.02 * oracle.value
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_sphere_ascent steps along 2*conj(p)*dp, the conjugate of the complex packing "
+    "2*p*conj(dp) of the gradient of |p|^2, so each start stops a few steps after burn-in"))
+def test_finite_q_witness_is_stationary():
+    # First-order stationarity of |p|^2 on the unit l2 sphere: the gradient
+    # 2 p conj(dp) is parallel to z, and Euler's identity sum_j z_j dp_j = k p
+    # fixes the multiplier at k |p|^2.
+    for n in (25, 49):
+        system = skolem_construct(n)
+        for pat in range(3):
+            p = SteinerPolynomial(system, random_signs(system, derive_seed(pat, "grid")))
+            z = estimate_norm(p, 2.0, starts=8, seed=pat).witness
+            val, partials = value_and_partials(p, z)
+            lagrange = 2 * p.k * abs(val) ** 2
+            residual = 2 * val * np.conj(partials) - lagrange * z
+            assert np.linalg.norm(residual) <= 1e-3 * lagrange
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 
 from steinervn.designs import PartialSteinerSystem, skolem_construct
 from steinervn.errors import DomainError, ValidationError
-from steinervn.polynomials import (Budgets, SteinerPolynomial,
-                                   best_of_signs, evaluate, evaluate_many,
-                                   gradient_sq_modulus, load_polynomial,
-                                   random_signs, relabel, save_polynomial)
+from steinervn.polynomials import (COMPENSATED_THRESHOLD, Budgets,
+                                   SteinerPolynomial, best_of_signs,
+                                   evaluate_compensated, evaluate_many,
+                                   load_polynomial, random_signs, relabel,
+                                   save_polynomial, value_and_partials)
 from steinervn.norms import estimate_norm, ksz_polydisk_bound
 from steinervn.seeding import derive_seed
 
@@ -27,59 +28,61 @@ def random_poly(n, k, seed):
     return SteinerPolynomial(system, random_signs(system, seed + 1))
 
 
-def fd_gradient(p, z, h=1e-5):
-    """Central finite differences of |p|^2 in the 2n real coordinates."""
-    out = np.empty(2 * p.n)
+def fd_partials(p, z, h=1e-5):
+    """Central complex differences of p along each coordinate axis."""
+    out = np.empty(p.n, dtype=complex)
     for j in range(p.n):
-        for im, slot in ((0.0, j), (1.0, p.n + j)):
-            step = np.zeros(p.n, dtype=complex)
-            step[j] = h * (1j if im else 1.0)
-            fp = abs(evaluate(p, z + step)) ** 2
-            fm = abs(evaluate(p, z - step)) ** 2
-            out[slot] = (fp - fm) / (2 * h)
+        step = np.zeros(p.n, dtype=complex)
+        step[j] = h
+        out[j] = (evaluate_compensated(p, z + step) - evaluate_compensated(p, z - step)) / (2 * h)
     return out
 
 
 def test_evaluate_single_monomial():
     p = single_block()
-    assert evaluate(p, [1, 1, 1]) == 1
-    assert evaluate(p, [2j, 1, 1]) == 2j
+    assert evaluate_compensated(p, [1, 1, 1]) == 1
+    assert evaluate_compensated(p, [2j, 1, 1]) == 2j
 
 
 def test_evaluate_cancellation():
     p = two_blocks()
-    assert evaluate(p, np.ones(5)) == 0
+    assert evaluate_compensated(p, np.ones(5)) == 0
 
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValidationError):
-        evaluate(single_block(), [1, 1])
+        evaluate_compensated(single_block(), [1, 1])
 
 
 def test_evaluate_empty_system():
     p = SteinerPolynomial(PartialSteinerSystem(4, 3, 2, ()), np.zeros(0, dtype=np.int8))
-    assert evaluate(p, np.ones(4)) == 0
+    assert evaluate_compensated(p, np.ones(4)) == 0
 
 
-def test_gradient_hand_value():
-    g = gradient_sq_modulus(single_block(), np.ones(3, dtype=complex))
-    assert np.allclose(g, [2, 2, 2, 0, 0, 0], atol=1e-12)
+def test_partials_hand_value():
+    val, partials = value_and_partials(single_block(), np.array([1, 2, 3], dtype=complex))
+    assert val == 6
+    assert np.array_equal(partials, [6, 3, 2])
 
 
-def test_gradient_zero_point():
+def test_partials_zero_point():
     for p in (single_block(), two_blocks(), random_poly(9, 3, 4)):
-        assert np.all(gradient_sq_modulus(p, np.zeros(p.n, dtype=complex)) == 0)
+        val, partials = value_and_partials(p, np.zeros(p.n, dtype=complex))
+        assert val == 0
+        assert np.all(partials == 0)
 
 
-def test_gradient_matches_finite_differences():
+def test_partials_match_finite_differences():
     rng = np.random.default_rng(11)
     for case in range(100):
         p = random_poly(5 + case % 5, 3 if case % 2 else 4, case)
         z = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
-        g = gradient_sq_modulus(p, z)
-        fd = fd_gradient(p, z)
+        val, partials = value_and_partials(p, z)
+        ref = evaluate_compensated(p, z)
+        assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+        fd = fd_partials(p, z)
         scale = max(1.0, float(np.abs(fd).max()))
-        assert np.abs(g - fd).max() <= 1e-6 * scale
+        assert np.abs(partials - fd).max() <= 1e-6 * scale
 
 
 def test_homogeneity():
@@ -88,8 +91,8 @@ def test_homogeneity():
         p = random_poly(8, 3, case)
         z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         lam = (rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)) / 2
-        lhs = evaluate(p, lam * z)
-        rhs = lam ** p.k * evaluate(p, z)
+        lhs = evaluate_compensated(p, lam * z)
+        rhs = lam ** p.k * evaluate_compensated(p, z)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -101,7 +104,7 @@ def test_permutation_equivariance_exact():
         p = random_poly(7, 3, case)
         perm = rng.permutation(7)
         z = (rng.integers(-3, 4, size=7) + 1j * rng.integers(-3, 4, size=7)).astype(complex)
-        assert evaluate(p, z[perm]) == evaluate(relabel(p, perm), z)
+        assert evaluate_compensated(p, z[perm]) == evaluate_compensated(relabel(p, perm), z)
 
 
 def test_triangle_bound():
@@ -110,7 +113,7 @@ def test_triangle_bound():
         p = random_poly(9, 3, case)
         z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         bound = float(np.sum(np.prod(np.abs(z)[p.system.blocks_array()], axis=1)))
-        assert abs(evaluate(p, z)) <= bound + 1e-12 * max(1.0, bound)
+        assert abs(evaluate_compensated(p, z)) <= bound + 1e-12 * max(1.0, bound)
 
 
 def test_evaluate_many_matches_scalar():
@@ -119,7 +122,7 @@ def test_evaluate_many_matches_scalar():
     pts = rng.standard_normal((17, 8)) + 1j * rng.standard_normal((17, 8))
     batch = evaluate_many(p, pts)
     for i in range(17):
-        assert abs(batch[i] - evaluate(p, pts[i])) <= 1e-12
+        assert abs(batch[i] - evaluate_compensated(p, pts[i])) <= 1e-12
 
 
 def test_random_signs_deterministic():
@@ -193,10 +196,10 @@ def test_signs_validation():
 def test_evaluate_compensated_large_support():
     # STS(247) has 10127 blocks, crossing the compensated-summation threshold
     system = skolem_construct(247)
-    assert system.num_blocks > 10_000
+    assert system.num_blocks > COMPENSATED_THRESHOLD
     p = SteinerPolynomial(system, random_signs(system, 0))
     rng = np.random.default_rng(1)
     z = (rng.standard_normal(247) + 1j * rng.standard_normal(247)) / 16
     direct = complex(np.sum(p.signs * np.prod(z[system.blocks_array()], axis=1)))
-    val = evaluate(p, z)
-    assert abs(val - direct) <= 1e-9 * max(1.0, abs(direct))
+    for val in (evaluate_compensated(p, z), value_and_partials(p, z)[0]):
+        assert abs(val - direct) <= 1e-9 * max(1.0, abs(direct))
