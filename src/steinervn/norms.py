@@ -57,15 +57,15 @@ class BoundSet:
     polarization: float
 
 
-def qnorm(z: np.ndarray, q) -> float:
-    """l_q norm of a complex vector, q in [1, inf]."""
+def qnorm(z: np.ndarray, q):
+    """l_q norm of a complex vector (a float), or of each row of an (N, n) array; q in [1, inf]."""
     mods = np.abs(z)
-    if q == inf:
-        return float(mods.max()) if mods.size else 0.0
-    top = float(mods.max()) if mods.size else 0.0
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((mods / top) ** q)) ** (1.0 / q)
+    top = mods.max(axis=-1, initial=0.0)
+    if q != inf:
+        scale = np.where(top > 0.0, top, 1.0)
+        # float_power takes libm's root, so a row's norm is the vector's to the bit
+        top = top * np.float_power(np.sum((mods / scale[..., None]) ** q, axis=-1), 1.0 / q)
+    return float(top) if np.ndim(top) == 0 else top
 
 
 def _check_q(q):
@@ -78,96 +78,120 @@ def _check_q(q):
 # ---------------------------------------------------------------------------
 
 def _align_burnin(p, z, q):
-    """Sharpen a random start by Hoelder alignment before the ascent.
+    """Sharpen random starts, one per row of z, by Hoelder alignment before the ascent.
 
-    Each step replaces z with the unit-q-norm point maximizing the
+    Each step replaces a row z with the unit-q-norm point maximizing the
     linearization |sum_j (dp/dz_j) z_j|: conjugate phases with moduli
     proportional to |dp/dz_j|^{q'-1} (all moduli 1 when q = inf).  This is
     one alternating-maximization step on the symmetric multilinear form; it
-    is a heuristic initializer only, so the best point seen is returned and
-    certification happens downstream.  Degenerate for q = 1 (the linearized
-    optimum is a single coordinate), so callers skip it there.
+    is a heuristic initializer only, so the best point each row has seen is
+    returned and certification happens downstream.  A row whose partials
+    vanish stays where it is.  Degenerate for q = 1 (the linearized optimum
+    is a single coordinate), so callers skip it there.
     """
-    best_f, best_z = -1.0, z
-    for _ in range(BURNIN_STEPS):
+    best_f, best_z = np.full(len(z), -1.0), z.copy()
+    for step in range(BURNIN_STEPS + 1):
         val, part = value_and_partials(p, z)
-        f = abs(val) ** 2
-        if f > best_f:
-            best_f, best_z = f, z
-        mods = np.abs(part)
-        if not mods.any():
+        f = np.abs(val) ** 2
+        better = f > best_f
+        best_f[better], best_z[better] = f[better], z[better]
+        if step == BURNIN_STEPS:
             break
+        mods = np.abs(part)
         w = np.conj(part)
         if q == inf:
-            z_new = np.where(mods > 0, w / np.maximum(mods, 1e-300), z)
+            z = np.where(mods > 0, w / np.maximum(mods, 1e-300), z)
         else:
             qp = q / (q - 1.0)
             z_new = w * np.maximum(mods, 1e-300) ** (qp - 2.0)
             z_new[mods == 0.0] = 0.0
-            nrm = qnorm(z_new, q)
-            if nrm == 0.0:
-                break
-            z_new = z_new / nrm
-        z = z_new
-    val, _ = value_and_partials(p, z)
-    if abs(val) ** 2 > best_f:
-        best_z = z
+            nrm = qnorm(z_new, q)[:, None]
+            z = np.where(nrm != 0.0, z_new / np.where(nrm != 0.0, nrm, 1.0), z)
     return best_z
-
-
-def _backtrack(f, gn2, alphas, f_candidates):
-    """Index of the first step in a decreasing alpha sequence passing Armijo."""
-    if not np.all(np.isfinite(f_candidates)):
-        raise FloatingPointError("non-finite objective in line search")
-    hits = np.nonzero(f_candidates >= f + ARMIJO * alphas * gn2)[0]
-    return int(hits[0]) if hits.size else -1
 
 
 _LS_CHUNK = 8
 _LS_MIN_STEP = 1e-18
+# Step sizes of the successive backtracking passes, _LS_CHUNK halvings each.
+_ALPHAS = [STEP0 * STEP_SHRINK ** (_LS_CHUNK * i) * STEP_SHRINK ** np.arange(_LS_CHUNK)
+           for i in range(64) if STEP0 * STEP_SHRINK ** (_LS_CHUNK * i) > _LS_MIN_STEP]
+
+
+def _discard(f, rows, reason):
+    for s in rows.tolist():
+        logger.warning("estimate_norm: start %d discarded (%s)", s, reason)
+    f[rows] = np.nan
+
+
+def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name):
+    """Backtracking gradient ascent of |p|^2, one start per row of x.
+
+    ``to_point`` maps states to the points p is evaluated at,
+    ``direction(z, f, val, partials)`` gives each row's ascent direction and
+    its squared norm, and ``step(x, alphas, d)`` gives the (rows, chunk, n)
+    candidate states with a mask of the usable ones (True: all); one pass
+    evaluates the candidates of all searching rows together.  Each row keeps
+    its own line search from step 0.5 (halving, Armijo constant 1e-4) and
+    its own stop: zero gradient, no Armijo step above 1e-18, a relative gain
+    below tol, or max_iters.  A row whose direction or candidate values turn
+    non-finite is discarded with a warning and its |p|^2 set to NaN.
+    Returns (points, |p|^2, iterations per row).
+    """
+    z = to_point(x)
+    f = np.abs(evaluate_many(p, z)) ** 2
+    iters = np.zeros(len(x), dtype=np.int64)
+    live = np.arange(len(x))
+    for _ in range(max_iters):
+        if not live.size:
+            break
+        iters[live] += 1
+        z_live, f_live = z[live], f[live]
+        val, partials = value_and_partials(p, z_live)
+        d, gn2 = direction(z_live, f_live, val, partials)
+        finite = np.isfinite(gn2)
+        if not finite.all():
+            _discard(f, live[~finite], f"non-finite gradient in {name}")
+        searching = finite & (gn2 != 0.0)
+        live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
+        moving = [live[:0]]
+        for alphas in _ALPHAS:
+            cands, usable = step(x[live], alphas, d)
+            points = to_point(cands)
+            fs = np.abs(evaluate_many(p, points.reshape(-1, x.shape[1]))) ** 2
+            fs = np.where(usable, fs.reshape(len(live), _LS_CHUNK), -1.0)
+            finite = np.isfinite(fs).all(axis=1)
+            armijo = fs >= f_live[:, None] + ARMIJO * alphas * gn2[:, None]
+            found = finite & armijo.any(axis=1)
+            hit = armijo[found].argmax(axis=1)
+            rows, f_new = live[found], fs[found, hit]
+            gain = (f_new - f_live[found]) / np.maximum(f_new, 1e-300)
+            x[rows], z[rows], f[rows] = cands[found, hit], points[found, hit], f_new
+            moving.append(rows[gain >= tol])
+            if not finite.all():
+                _discard(f, live[~finite], "non-finite objective in line search")
+            searching = finite & ~found
+            if not searching.any():
+                break
+            live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
+        live = np.concatenate(moving)
+    return z, f, iters
 
 
 def _phase_ascent(p, theta, max_iters, tol):
-    """Gradient ascent of |p(e^{i theta})|^2 over the torus.
+    """Gradient ascent of |p(e^{i theta})|^2 over the torus, one start per row."""
+    def direction(z, f, val, partials):
+        grad = -2.0 * np.imag(np.conj(val)[:, None] * partials * z)
+        return grad, (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]  # each row's BLAS dot
 
-    Backtracking line search from step 0.5 (halving, Armijo constant 1e-4),
-    with the candidate steps of each backtracking pass evaluated in one
-    vectorized batch.  Returns (theta, |p|^2, iterations).
-    """
-    z = np.exp(1j * theta)
-    f = abs(evaluate_many(p, z[None, :])[0]) ** 2
-    iters = 0
-    for _ in range(max_iters):
-        iters += 1
-        val, partials = value_and_partials(p, z)
-        grad = -2.0 * np.imag(np.conj(val) * partials * z)
-        gn2 = float(grad @ grad)
-        if not np.isfinite(gn2):
-            raise FloatingPointError("non-finite gradient in phase ascent")
-        if gn2 == 0.0:
-            break
-        alpha, hit = STEP0, -1
-        while alpha > _LS_MIN_STEP:
-            alphas = alpha * STEP_SHRINK ** np.arange(_LS_CHUNK)
-            cands = theta[None, :] + alphas[:, None] * grad[None, :]
-            fs = np.abs(evaluate_many(p, np.exp(1j * cands))) ** 2
-            hit = _backtrack(f, gn2, alphas, fs)
-            if hit >= 0:
-                theta_new, f_new = cands[hit], float(fs[hit])
-                break
-            alpha *= STEP_SHRINK ** _LS_CHUNK
-        if hit < 0:
-            break
-        gain = (f_new - f) / max(f_new, 1e-300)
-        theta, f = theta_new, f_new
-        z = np.exp(1j * theta)
-        if gain < tol:
-            break
-    return theta, f, iters
+    def step(theta, alphas, grad):
+        return theta[:, None, :] + alphas[None, :, None] * grad[:, None, :], True
+
+    return _armijo_ascent(p, theta, lambda t: np.exp(1j * t), direction, step,
+                          max_iters, tol, "phase ascent")
 
 
 def _sphere_normal(z, q):
-    """Complex packing of the gradient of ||z||_q at a unit vector.
+    """Complex packing of the gradient of ||z||_q at a unit vector (or at each row).
 
     Entry j is z_j |z_j|^{q-2}; moduli are clamped below to keep the field
     bounded for q < 2.
@@ -191,46 +215,27 @@ def _qnorm_rows(points: np.ndarray, q) -> np.ndarray:
 
 
 def _sphere_ascent(p, z, q, max_iters, tol):
-    """Ascent of the scale-invariant |p(z)|^2 / ||z||_q^{2k} with renormalization.
+    """Ascent of the scale-invariant |p(z)|^2 / ||z||_q^{2k}, one start per row.
 
     The search direction is the gradient of the quotient, which vanishes at
-    constrained critical points on the q-sphere; line search as in
-    _phase_ascent.
+    constrained critical points on the q-sphere; every candidate step is
+    renormalized onto the sphere.
     """
-    z = z / qnorm(z, q)
-    f = abs(evaluate_many(p, z[None, :])[0]) ** 2
-    iters = 0
-    for _ in range(max_iters):
-        iters += 1
-        val, partials = value_and_partials(p, z)
+    def direction(z, f, val, partials):
         # conjugate of the packing 2 p conj(dp) of (df/dx, df/dy): a known defect (ROADMAP)
-        grad_f = 2.0 * np.conj(val) * partials
-        direction = grad_f - 2.0 * p.k * f * _sphere_normal(z, q)
-        gn2 = float(np.sum(direction.real ** 2 + direction.imag ** 2))
-        if not np.isfinite(gn2):
-            raise FloatingPointError("non-finite gradient in sphere ascent")
-        if gn2 == 0.0:
-            break
-        alpha, hit = STEP0, -1
-        while alpha > _LS_MIN_STEP:
-            alphas = alpha * STEP_SHRINK ** np.arange(_LS_CHUNK)
-            cands = z[None, :] + alphas[:, None] * direction[None, :]
-            norms = _qnorm_rows(cands, q)
-            good = norms > 0.0
-            cands[good] /= norms[good, None]
-            fs = np.abs(evaluate_many(p, cands)) ** 2
-            hit = _backtrack(f, gn2, alphas, np.where(good, fs, -1.0))
-            if hit >= 0:
-                z_new, f_new = cands[hit], float(fs[hit])
-                break
-            alpha *= STEP_SHRINK ** _LS_CHUNK
-        if hit < 0:
-            break
-        gain = (f_new - f) / max(f_new, 1e-300)
-        z, f = z_new, f_new
-        if gain < tol:
-            break
-    return z, f, iters
+        grad_f = (2.0 * np.conj(val))[:, None] * partials
+        d = grad_f - (2.0 * p.k * f)[:, None] * _sphere_normal(z, q)
+        return d, np.sum(d.real ** 2 + d.imag ** 2, axis=1)
+
+    def step(z, alphas, d):
+        cands = z[:, None, :] + alphas[None, :, None] * d[:, None, :]
+        norms = _qnorm_rows(cands.reshape(-1, z.shape[1]), q).reshape(cands.shape[:2])
+        usable = norms > 0.0
+        cands[usable] /= norms[usable, None]
+        return cands, usable
+
+    z = z / qnorm(z, q)[:, None]
+    return _armijo_ascent(p, z, lambda z: z, direction, step, max_iters, tol, "sphere ascent")
 
 
 def _certify(p, witness, q, method, starts, iterations, seed):
@@ -251,8 +256,12 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
     maximum modulus principle puts the optimum on the torus); for finite q
     over the complex unit q-sphere (homogeneity puts it on the sphere).
     Start s uses the derived seed (seed, "start", s), so enlarging ``starts``
-    keeps all earlier starts and the result is nondecreasing.  Non-finite
-    intermediates discard the start with a warning.
+    keeps all earlier starts and the result is nondecreasing.  The starts
+    advance together, as the rows of one array, so each step costs one
+    batched kernel call; every row keeps its own line search, stop rule and
+    iteration count, and computes what it would compute alone (up to the
+    last bit of a batched BLAS sum).  A start whose values turn non-finite
+    is discarded with a warning; if all are, ConvergenceError is raised.
     """
     _check_q(q)
     if starts < 1:
@@ -266,29 +275,20 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
             witness[0] = 1.0
         return _certify(p, witness, q, "trivial", starts, 0, seed)
 
-    best_f, best_point, total_iters = -1.0, None, 0
-    for s in range(starts):
-        rng = rng_for(seed, "start", s)
-        try:
-            if q == inf:
-                z0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-                z0 = _align_burnin(p, z0, q)
-                theta, f, it = _phase_ascent(p, np.angle(z0), max_iters, tol)
-                point = np.exp(1j * theta)
-            else:
-                z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                if q > 1:
-                    z0 = _align_burnin(p, z0 / qnorm(z0, q), q)
-                point, f, it = _sphere_ascent(p, z0, q, max_iters, tol)
-        except FloatingPointError as exc:
-            logger.warning("estimate_norm: start %d discarded (%s)", s, exc)
-            continue
-        total_iters += it
-        if f > best_f:
-            best_f, best_point = f, point
-    if best_point is None:
+    rngs = [rng_for(seed, "start", s) for s in range(starts)]
+    if q == inf:
+        z0 = np.exp(1j * np.array([rng.uniform(0.0, 2.0 * np.pi, size=n) for rng in rngs]))
+        points, f, iters = _phase_ascent(p, np.angle(_align_burnin(p, z0, q)), max_iters, tol)
+    else:
+        z0 = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
+        if q > 1:
+            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q)
+        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol)
+    kept = ~np.isnan(f)  # discarded starts hold NaN
+    if not kept.any():
         raise ConvergenceError(f"all {starts} ascent starts produced non-finite values")
-    return _certify(p, best_point, q, "multistart_ascent", starts, total_iters, seed)
+    return _certify(p, points[np.nanargmax(f)], q, "multistart_ascent", starts,
+                    int(iters[kept].sum()), seed)
 
 
 def recertify(p: SteinerPolynomial, est: NormEstimate, rel: float = 1e-10) -> bool:

@@ -21,6 +21,10 @@ from .seeding import derive_seed, rng_for
 # for small supports.
 COMPENSATED_THRESHOLD = 10**4
 
+# Most monomials one kernel pass holds: batched rows are processed in tiles
+# of this many monomials so the (rows, m) temporaries stay in cache.
+TILE_MONOMIALS = 1 << 14
+
 
 @dataclass
 class SteinerPolynomial:
@@ -51,18 +55,26 @@ class SteinerPolynomial:
         return self.system.num_blocks
 
 
-def _as_point(p: SteinerPolynomial, z) -> np.ndarray:
+def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:
+    """z as one complex point of p (ndim 1) or as an (N, n) batch of them (ndim 2)."""
     z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (p.n,):
-        raise ValidationError(f"point has shape {z.shape}, expected ({p.n},)")
+    if z.ndim != ndim or z.shape[-1] != p.n:
+        expected = f"({p.n},)" if ndim == 1 else f"(N, {p.n})"
+        raise ValidationError(f"points array has shape {z.shape}, expected {expected}")
     return z
+
+
+def _row_tiles(num_rows: int, m: int):
+    """Row slices holding at most TILE_MONOMIALS monomials each (at least one row)."""
+    step = max(1, TILE_MONOMIALS // m)
+    return [slice(lo, lo + step) for lo in range(0, num_rows, step)]
 
 
 def _monomials(points: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Products of the block coordinates, (N, n) points -> (N, m) monomials."""
-    acc = points[:, blocks[:, 0]].copy()
+    acc = np.take(points, blocks[:, 0], axis=1)  # C order: the matvec's rounding follows layout
     for col in range(1, blocks.shape[1]):
-        acc *= points[:, blocks[:, col]]
+        acc *= np.take(points, blocks[:, col], axis=1)
     return acc
 
 
@@ -71,52 +83,68 @@ def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
 
     Used to certify optimizer witnesses independently of the ascent path.
     """
-    t = p.signs * _monomials(_as_point(p, z)[None, :], p.system.blocks_array())[0]
+    t = p.signs * _monomials(_as_points(p, z, 1)[None, :], p.system.blocks_array())[0]
     return complex(math.fsum(t.real), math.fsum(t.imag))
 
 
 def evaluate_many(p: SteinerPolynomial, points: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an (N, n) array of points."""
-    points = np.asarray(points, dtype=np.complex128)
-    if points.ndim != 2 or points.shape[1] != p.n:
-        raise ValidationError(f"points array has shape {points.shape}, expected (N, {p.n})")
+    """Vectorized evaluation on an (N, n) array of points, in row tiles; a row matches
+    its one-row call to rounding (BLAS may sum a lone row in another order)."""
+    points = _as_points(p, points, 2)
+    out = np.zeros(points.shape[0], dtype=np.complex128)
     if p.num_terms == 0:
-        return np.zeros(points.shape[0], dtype=np.complex128)
-    return _monomials(points, p.system.blocks_array()) @ p.signs.astype(np.complex128)
+        return out
+    blocks = p.system.blocks_array()
+    signs = p.signs.astype(np.complex128)
+    for rows in _row_tiles(points.shape[0], p.num_terms):
+        out[rows] = _monomials(points[rows], blocks) @ signs
+    return out
 
 
 def value_and_partials(p: SteinerPolynomial, z) -> tuple:
-    """(p(z), vector of complex partials dp/dz_j).
+    """(p(z), complex partials dp/dz_j) at one point or at each row of a batch.
 
     dp/dz_j = sum over blocks J containing j of c_J * prod_{i in J, i != j} z_i.
+    A point of shape (n,) gives (complex, (n,) array); an (N, n) array gives
+    ((N,) values, (N, n) partials), each row bit-identical to the call on
+    that row alone.  Rows are processed in tiles of at most TILE_MONOMIALS
+    monomials, so the per-column temporaries stay cache-sized.
     """
-    z = _as_point(p, z)
-    partials = np.zeros(p.n, dtype=np.complex128)
-    if p.num_terms == 0:
-        return 0j, partials
-    blocks = p.system.blocks_array()
-    zb = z[blocks]
-    m, k = zb.shape
-    # prefix[i] / suffix[i]: products of columns before / from i
-    prefix = np.empty((m, k + 1), dtype=np.complex128)
-    suffix = np.empty((m, k + 1), dtype=np.complex128)
-    prefix[:, 0] = 1.0
-    suffix[:, k] = 1.0
-    for i in range(k):
-        prefix[:, i + 1] = prefix[:, i] * zb[:, i]
-        suffix[:, k - 1 - i] = suffix[:, k - i] * zb[:, k - 1 - i]
-    signs = p.signs.astype(np.complex128)
-    for pos in range(k):
-        w = signs * (prefix[:, pos] * suffix[:, pos + 1])
-        idx = blocks[:, pos]
-        partials += np.bincount(idx, weights=w.real, minlength=p.n)
-        partials += 1j * np.bincount(idx, weights=w.imag, minlength=p.n)
-    terms = signs * prefix[:, k]
-    if m > COMPENSATED_THRESHOLD:
-        val = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    else:
-        val = complex(terms.sum())
-    return val, partials
+    single = np.ndim(z) == 1
+    points = _as_points(p, z, 1 if single else 2).reshape(-1, p.n)
+    num, n = points.shape
+    values = np.zeros(num, dtype=np.complex128)
+    partials = np.zeros((num, n), dtype=np.complex128)
+    if p.num_terms:
+        blocks = p.system.blocks_array()
+        m, k = blocks.shape
+        signs = p.signs.astype(np.complex128)
+        for rows in _row_tiles(num, m):
+            cols = [np.take(points[rows], blocks[:, i], axis=1) for i in range(k)]  # (r, m)
+            # products of columns 0..i (prefix[i]), i..k-1 (suffix[i]), all but pos (others[pos])
+            prefix, suffix = [cols[0]], [None] * (k - 1) + [cols[k - 1]]
+            for i in range(1, k):
+                prefix.append(prefix[-1] * cols[i])
+            for i in range(k - 2, 0, -1):
+                suffix[i] = suffix[i + 1] * cols[i]
+            others = ([suffix[1]] + [prefix[i - 1] * suffix[i + 1] for i in range(1, k - 1)]
+                      + [prefix[k - 2]])
+            # row r's partials are bins r * n + j of one flat bincount (a view)
+            flat = partials[rows].reshape(-1)
+            offsets = n * np.arange(len(cols[0]))[:, None]
+            for pos in range(k):
+                w = signs * others[pos]
+                idx = (offsets + blocks[:, pos]).reshape(-1)
+                flat += np.bincount(idx, weights=w.real.reshape(-1), minlength=flat.size)
+                flat += 1j * np.bincount(idx, weights=w.imag.reshape(-1), minlength=flat.size)
+            terms = signs * prefix[k - 1]
+            if m > COMPENSATED_THRESHOLD:
+                values[rows] = [complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms]
+            else:
+                values[rows] = terms.sum(axis=1)
+    if single:
+        return complex(values[0]), partials[0]
+    return values, partials
 
 
 def random_signs(system: PartialSteinerSystem, seed: int) -> np.ndarray:

@@ -1,11 +1,13 @@
+import logging
 import math
 from math import factorial, inf, log
 
 import numpy as np
 import pytest
 
+from steinervn import norms
 from steinervn.designs import PartialSteinerSystem, greedy_construct, skolem_construct
-from steinervn.errors import DomainError
+from steinervn.errors import ConvergenceError, DomainError
 from steinervn.norms import (analytic_bounds, brute_force_norm, estimate_norm,
                              ksz_polydisk_bound, polarization_constant, qnorm,
                              recertify)
@@ -95,6 +97,117 @@ def test_matching_polynomials_q2_half():
         p = SteinerPolynomial(system, random_signs(system, seed))
         est = estimate_norm(p, 2.0, starts=8, seed=seed)
         assert est.value <= 0.5 + 1e-9
+
+
+# estimate_norm(seeded_poly(n, k, s), q, starts=5, max_iters=300, seed=7) as
+# computed by the one-start-at-a-time ascent that the batched one replaced:
+# ((n, k, s), q, value, iterations, witness to 10 decimals).
+PINNED_ESTIMATES = [
+    ((9, 3, 1), 1.0, 0.009562571953574123, 623,
+     [0.0643030642+0.0036339219j, -0.0244463320-0.0320536219j, -0.1609636748+0.0049101028j,
+      -0.0265653723-0.0609014719j, 0.2319863328-0.0260112607j, 0.1166735432+0.0103438342j,
+      0.0287875227+0.0250339745j, -0.1879176976-0.1089310121j, 0.0184077767-0.0590702825j]),
+    ((9, 3, 1), 1.5, 0.1058364294931255, 316,
+     [0.2544141606+0.0000041444j, -0.2535407157+0.0000000723j, -0.2555623597-0.0000040044j,
+      -0.0000083204+0.0002902447j, 0.3747834041-0.0000000013j, 0.2547065405-0.0000001975j,
+      0.2540925836+0.0000002270j, -0.2549567594+0.0000081062j, 0.0000083015+0.0002902902j]),
+    ((9, 3, 1), 2.0, 0.3752524513070947, 5,
+     [0.0695294316-0.2993073711j, -0.1583623243+0.3410552519j, 0.2939728162-0.0894406982j,
+      -0.2656043849+0.1642284458j, -0.0695291209+0.2993067885j, 0.2161815854+0.3076734164j,
+      0.2656049664-0.1642286524j, 0.2161816206+0.3076735302j, 0.2750271845+0.1479065991j]),
+    ((9, 3, 1), 3.0, 1.116762436487943, 5,
+     [-0.4492447028-0.0982213808j, 0.4707533363+0.2138268451j, -0.1395616550-0.4381675654j,
+      0.2477110866+0.3885985645j, 0.4492448252+0.0982208689j, 0.4205560786-0.3007710463j,
+      -0.2477106653-0.3885988314j, 0.4205561017-0.3007710061j, 0.2126820116-0.4088226813j]),
+    ((9, 3, 1), inf, 9.931597068077513, 6,
+     [0.9891073090-0.1471962341j, 0.1570114355-0.9875967847j, 0.6220294929+0.7829938122j,
+      -0.5952871775+0.8035130219j, 0.6220298301+0.7829935443j, -0.7767781871-0.6297742834j,
+      -0.9935062060-0.1137779355j, -0.1570114375+0.9875967844j, 0.9935062548+0.1137775097j]),
+    ((10, 4, 2), 1.0, 0.0010894997210690962, 1201,
+     [0.0129694624-0.0601338801j, -0.0211338347+0.0016796853j, -0.1105899637-0.0869447866j,
+      -0.0206264848-0.0318727712j, 0.1871591047+0.0549352660j, 0.0669875702+0.0322403886j,
+      -0.0551492387-0.1060401898j, -0.1539317471-0.0776088616j, 0.0058250056-0.1334773171j,
+      -0.0336344873+0.0279438143j]),
+    ((10, 4, 2), 1.5, 0.021576788964503754, 467,
+     [-0.0908344468-0.2181101252j, -0.0542582814-0.0322315723j, -0.1470755183-0.0220324549j,
+      0.0592056914+0.0160520525j, 0.2200934254-0.0176425641j, 0.1720608472-0.0079162622j,
+      -0.3754999389-0.2528646222j, -0.3304696359-0.0449969949j, -0.0410989887-0.1838136772j,
+      -0.0955221962+0.0757664639j]),
+    ((10, 4, 2), 2.0, 0.16387589541388708, 6,
+     [0.2863901082+0.1653170612j, 0.0458470014+0.3252551535j, -0.2701142360+0.1816974225j,
+      -0.2416183639+0.1803471919j, -0.0566718015+0.2908449149j, -0.1085124164+0.3342832904j,
+      0.0520742234+0.3120135620j, -0.1335172369+0.2201322927j, 0.2628870977-0.1542910795j,
+      -0.3333354419-0.0646378261j]),
+    ((10, 4, 2), 3.0, 0.7558955997388993, 5,
+     [0.4370544192+0.1906402447j, 0.0826807286+0.4657688404j, -0.3753059876+0.2881479165j,
+      -0.3224102899+0.3113637445j, -0.0681913392+0.4428689969j, -0.1233459231+0.4731576496j,
+      0.0806682015+0.4620746618j, -0.2067087206+0.3680327055j, 0.3835830122-0.2465396982j,
+      -0.4745558447-0.0624116243j]),
+    ((10, 4, 2), inf, 16.1788150321237, 26,
+     [-0.1885483753-0.9820639033j, 0.7416905234-0.6707422512j, 0.9400093631+0.3411486440j,
+      0.9856952740+0.1685373156j, 0.9170029104-0.3988805112j, 0.9519988248-0.3061016785j,
+      0.7647625962-0.6443121693j, 0.9980141403-0.0629902826j, -0.9000267150-0.4358347305j,
+      0.4289986507+0.9033051299j]),
+]
+
+
+@pytest.mark.parametrize("poly, q, value, iterations, witness", PINNED_ESTIMATES)
+def test_estimate_matches_pinned_single_start_ascent(poly, q, value, iterations, witness):
+    est = estimate_norm(seeded_poly(*poly), q, starts=5, max_iters=300, seed=7)
+    assert abs(est.value - value) <= 1e-12 * value
+    assert est.iterations == iterations
+    assert np.abs(est.witness - np.array(witness)).max() <= 1e-9
+
+
+def poison_start(monkeypatch, p, q, seed, bad):
+    """Make value_and_partials non-finite at the starting points of the starts in ``bad``.
+
+    A row is poisoned while it is within 1e-9 of such a start (before or
+    after its normalization and burn-in, which then leaves it in place), so
+    only those starts can turn non-finite.
+    """
+    marks = []
+    for s in bad:
+        rng = norms.rng_for(seed, "start", s)
+        if q == inf:
+            marks.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=p.n)))
+        else:
+            z = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+            marks.append(z / qnorm(z, q))
+    kernel = norms.value_and_partials
+
+    def poisoned(poly, z):
+        vals, partials = kernel(poly, z)
+        for mark in marks:
+            hit = np.abs(z - mark).max(axis=1) <= 1e-9
+            vals[hit], partials[hit] = np.nan, np.nan
+        return vals, partials
+
+    monkeypatch.setattr(norms, "value_and_partials", poisoned)
+
+
+@pytest.mark.parametrize("q, where", [(inf, "phase ascent"), (2.0, "sphere ascent")])
+def test_nonfinite_start_is_discarded_alone(monkeypatch, caplog, q, where):
+    p = seeded_poly(13, 3, 6)
+    clean = estimate_norm(p, q, starts=3, max_iters=200, seed=4)
+    poison_start(monkeypatch, p, q, seed=4, bad=[3])
+    with caplog.at_level(logging.WARNING, logger=norms.__name__):
+        est = estimate_norm(p, q, starts=4, max_iters=200, seed=4)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"estimate_norm: start 3 discarded (non-finite gradient in {where})"]
+    # the remaining starts are the three of the clean estimate, run unchanged
+    assert abs(est.value - clean.value) <= 1e-12 * clean.value
+    assert np.abs(est.witness - clean.witness).max() <= 1e-9
+    assert est.iterations == clean.iterations
+
+
+def test_all_starts_nonfinite_raises(monkeypatch, caplog):
+    p = seeded_poly(13, 3, 6)
+    poison_start(monkeypatch, p, inf, seed=4, bad=range(3))
+    with caplog.at_level(logging.WARNING, logger=norms.__name__):
+        with pytest.raises(ConvergenceError):
+            estimate_norm(p, inf, starts=3, max_iters=200, seed=4)
+    assert len(caplog.records) == 3
 
 
 def test_sts7_estimate_matches_oracle_within_2pct():

@@ -3,7 +3,7 @@ import pytest
 
 from steinervn.designs import PartialSteinerSystem, skolem_construct
 from steinervn.errors import DomainError, ValidationError
-from steinervn.polynomials import (COMPENSATED_THRESHOLD, Budgets,
+from steinervn.polynomials import (COMPENSATED_THRESHOLD, TILE_MONOMIALS, Budgets,
                                    SteinerPolynomial, best_of_signs,
                                    evaluate_compensated, evaluate_many,
                                    load_polynomial, random_signs, relabel,
@@ -123,6 +123,88 @@ def test_evaluate_many_matches_scalar():
     batch = evaluate_many(p, pts)
     for i in range(17):
         assert abs(batch[i] - evaluate_compensated(p, pts[i])) <= 1e-12
+
+
+def single_point_kernel(p, z):
+    """The former one-point kernel: (m, k+1) prefix and suffix products, one bincount per slot."""
+    blocks = p.system.blocks_array()
+    zb = z[blocks]
+    m, k = zb.shape
+    prefix = np.ones((m, k + 1), dtype=complex)
+    suffix = np.ones((m, k + 1), dtype=complex)
+    for i in range(k):
+        prefix[:, i + 1] = prefix[:, i] * zb[:, i]
+        suffix[:, k - 1 - i] = suffix[:, k - i] * zb[:, k - 1 - i]
+    partials = np.zeros(p.n, dtype=complex)
+    for pos in range(k):
+        w = p.signs * (prefix[:, pos] * suffix[:, pos + 1])
+        partials += np.bincount(blocks[:, pos], weights=w.real, minlength=p.n)
+        partials += 1j * np.bincount(blocks[:, pos], weights=w.imag, minlength=p.n)
+    return complex((p.signs * prefix[:, k]).sum()), partials
+
+
+def term_scale(p, points):
+    """Sum of the term moduli at each row: the scale of the rounding in a row's sum."""
+    return np.prod(np.abs(points)[:, p.system.blocks_array()], axis=2).sum(axis=1)
+
+
+def tiled_batches():
+    """(polynomial, points) with N * m above one tile: k = 3, k = 4, and the fsum path."""
+    rng = np.random.default_rng(12)
+    sts25, sts247 = skolem_construct(25), skolem_construct(247)
+    for p, rows in ((SteinerPolynomial(sts25, random_signs(sts25, 2)), 400),
+                    (random_poly(26, 4, 5), 100),
+                    (SteinerPolynomial(sts247, random_signs(sts247, 0)), 3)):
+        assert rows * p.num_terms > TILE_MONOMIALS
+        yield p, (rng.standard_normal((rows, p.n)) + 1j * rng.standard_normal((rows, p.n))) / 2
+
+
+def test_value_and_partials_batch_matches_rows():
+    for p, pts in tiled_batches():
+        vals, partials = value_and_partials(p, pts)
+        assert vals.shape == (len(pts),) and partials.shape == pts.shape
+        scale = term_scale(p, pts)
+        for i, z in enumerate(pts):
+            val, part = value_and_partials(p, z)
+            assert np.array_equal(part, partials[i])
+            assert abs(vals[i] - val) <= 1e-15 * scale[i]
+
+
+def test_evaluate_many_batch_matches_rows():
+    for p, pts in tiled_batches():
+        batch = evaluate_many(p, pts)
+        scale = term_scale(p, pts)
+        for i in range(len(pts)):
+            assert abs(batch[i] - evaluate_many(p, pts[i:i + 1])[0]) <= 1e-15 * scale[i]
+
+
+def test_value_and_partials_single_point_unchanged():
+    rng = np.random.default_rng(13)
+    for p in (single_block(), two_blocks(), random_poly(9, 3, 4), random_poly(10, 4, 2)):
+        z = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+        val, partials = value_and_partials(p, z)
+        assert isinstance(val, complex) and partials.shape == (p.n,)
+        ref_val, ref_partials = single_point_kernel(p, z)
+        scale = term_scale(p, z[None, :])[0]
+        assert abs(val - ref_val) <= 1e-15 * scale
+        assert np.abs(partials - ref_partials).max() <= 1e-15 * scale
+
+
+def test_kernel_shapes_empty_and_invalid():
+    empty = SteinerPolynomial(PartialSteinerSystem(4, 3, 2, ()), np.zeros(0, dtype=np.int8))
+    val, partials = value_and_partials(empty, np.ones(4))
+    assert val == 0 and isinstance(val, complex) and np.array_equal(partials, np.zeros(4))
+    vals, partials = value_and_partials(empty, np.ones((5, 4)))
+    assert np.array_equal(vals, np.zeros(5)) and np.array_equal(partials, np.zeros((5, 4)))
+    assert np.array_equal(evaluate_many(empty, np.ones((5, 4))), np.zeros(5))
+    vals, partials = value_and_partials(two_blocks(), np.zeros((0, 5)))
+    assert vals.shape == (0,) and partials.shape == (0, 5)
+    assert evaluate_many(two_blocks(), np.zeros((0, 5))).shape == (0,)
+    for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 3, 5))):
+        with pytest.raises(ValidationError):
+            value_and_partials(two_blocks(), bad)
+    with pytest.raises(ValidationError):
+        evaluate_many(two_blocks(), np.ones(5))
 
 
 def test_random_signs_deterministic():

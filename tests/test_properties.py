@@ -1,13 +1,18 @@
 """Property tests over random greedy systems (Hypothesis, derandomized)."""
 
+import dataclasses
 import tempfile
+from math import inf
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinervn.defect import RatioRecord, _write_rows, load_records
 from steinervn.designs import greedy_construct, load_system, save_system, verify_system
+from steinervn.norms import estimate_norm, recertify
+from steinervn.operators import build_operators, load_tuple, save_tuple
 from steinervn.polynomials import SteinerPolynomial, load_polynomial, save_polynomial
 
 # Repeatable runs that leave no example database behind.
@@ -15,10 +20,31 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def greedy_systems(draw):
-    k = draw(st.integers(2, 4))
+def greedy_systems(draw, min_k=2):
+    k = draw(st.integers(min_k, 4))
     n = draw(st.integers(k + 1, 14))
     return greedy_construct(n, k, draw(st.integers(0, 2**31 - 1)))
+
+
+def signed(system, data):
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=system.num_blocks,
+                               max_size=system.num_blocks))
+    return SteinerPolynomial(system, np.array(signs, dtype=np.int8))
+
+
+def same_cell(a, b):
+    """Equal, with NaN equal to NaN (error rows hold NaN numerics)."""
+    return a == b or (a != a and b != b)
+
+
+ratio_records = st.builds(
+    RatioRecord,
+    k=st.integers(2, 9), q=st.floats(), r=st.floats(), n=st.integers(1, 10**4),
+    seed=st.integers(0, 2**63 - 1), num_blocks=st.integers(0, 10**6),
+    norm_est=st.floats(), norm_method=st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+    op_norm=st.floats(), ratio=st.floats(), floor_ratio=st.floats(), ksz_ref=st.floats(),
+    analytic_lower_ref=st.floats(), normalized_flag=st.booleans(),
+    elapsed_ms=st.integers(0, 10**9))
 
 
 @PROPERTY
@@ -40,9 +66,7 @@ def test_verify_catches_appended_block_sharing_a_subset(system, data):
 @PROPERTY
 @given(greedy_systems(), st.data())
 def test_system_and_polynomial_files_roundtrip(system, data):
-    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=system.num_blocks,
-                               max_size=system.num_blocks))
-    p = SteinerPolynomial(system, np.array(signs, dtype=np.int8))
+    p = signed(system, data)
     with tempfile.TemporaryDirectory() as tmp:
         save_system(system, Path(tmp) / "system.txt")
         assert load_system(Path(tmp) / "system.txt") == system
@@ -50,3 +74,37 @@ def test_system_and_polynomial_files_roundtrip(system, data):
         loaded = load_polynomial(Path(tmp) / "poly.txt")
     assert loaded.system == system
     assert np.array_equal(loaded.signs, p.signs)
+
+
+@PROPERTY
+@given(greedy_systems(), st.data())
+def test_recertify_holds_for_random_q(system, data):
+    q = data.draw(st.one_of(st.just(inf), st.floats(1.0, 8.0)))
+    p = signed(system, data)
+    est = estimate_norm(p, q, starts=2, max_iters=30, seed=data.draw(st.integers(0, 2**31 - 1)))
+    assert recertify(p, est)
+
+
+@PROPERTY
+@given(greedy_systems(min_k=3), st.data())
+def test_tuple_files_roundtrip(system, data):
+    scale = data.draw(st.floats(1e-6, 1e6))
+    t = build_operators(signed(system, data)).with_scale(scale)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tuple(t, tmp)
+        loaded = load_tuple(tmp)
+    assert (loaded.dim, loaded.n, loaded.k, loaded.scale) == (t.dim, t.n, t.k, scale)
+    assert loaded.polynomial.system == system
+    assert np.array_equal(loaded.polynomial.signs, t.polynomial.signs)
+    assert [op.entries() for op in loaded.ops] == [op.entries() for op in t.ops]
+
+
+@PROPERTY
+@given(st.lists(ratio_records, max_size=6))
+def test_sweep_csv_roundtrip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_rows(Path(tmp) / "sweep.csv", records)
+        loaded = load_records(Path(tmp) / "sweep.csv")
+    assert len(loaded) == len(records)
+    for back, rec in zip(loaded, records):
+        assert all(map(same_cell, dataclasses.astuple(back), dataclasses.astuple(rec)))
