@@ -22,18 +22,15 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from math import inf
 
-import numpy as np
-
 from . import __version__
-from .defect import (Budgets, SweepConfig, d32_experiment, fit_exponent,
-                     load_records, sweep)
+from .defect import (FIT_FIELDS, Budgets, SweepConfig, d32_experiment,
+                     fit_exponent, load_records, sweep)
 from .designs import (construct, density_report, load_system, save_system,
                       verify)
 from .errors import ConvergenceError, DomainError, ValidationError
 from .norms import estimate_norm
 from .operators import (build_operators, check_commuting, gram_diagonal_check,
-                        load_tuple, operator_norm, apply_polynomial,
-                        save_tuple)
+                        load_tuple, operator_norm, save_tuple, sink_image)
 from .plotting import render_scatter
 from .polynomials import best_of_signs, load_polynomial, save_polynomial
 from .seeding import derive_seed
@@ -68,10 +65,11 @@ def _manifest_path(out_path: str) -> str:
 
 def _write_manifest(out_path, args, started_at, master_seed=None, derived_seeds=None):
     manifest = {
-        "command_line": sys.argv if sys.argv else [],
+        "command_line": args.command_line,
         "version": __version__,
         "parameters": {k: (repr(v) if isinstance(v, float) else v)
-                       for k, v in sorted(vars(args).items()) if k != "func"},
+                       for k, v in sorted(vars(args).items())
+                       if k not in ("func", "command_line")},
         "master_seed": master_seed,
         "derived_seeds": derived_seeds or {},
         "started_at": started_at,
@@ -191,18 +189,15 @@ def _cmd_op_check(args):
     comm = check_commuting(tup)
     grams = gram_diagonal_check(tup)
     norms = [operator_norm(op) for op in tup.ops]
-    image = apply_polynomial(tup.with_scale(1.0), poly, tup.basis.e_vector())
-    expected = poly.num_terms
-    g_idx = tup.basis.g_index()
-    identity_ok = bool(image[g_idx] == expected
-                       and np.all(np.delete(image, g_idx) == 0))
+    coefficient, graded = sink_image(tup, poly)
+    identity_ok = graded and coefficient == poly.num_terms
     payload = {
         "commuting": comm.ok,
         "failing_pair": list(comm.pair) if comm.pair else None,
         "gram_diagonal_01": [g.is_diagonal_01 for g in grams],
         "operator_norms": norms,
         "eval_identity": identity_ok,
-        "num_blocks": expected,
+        "num_blocks": poly.num_terms,
     }
     all_ok = comm.ok and identity_ok
     print(json.dumps(payload, sort_keys=True))
@@ -263,6 +258,7 @@ def _cmd_ratio_d32(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_plot(args):
+    started = _utcnow()
     with open(args.infile, encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or args.x not in reader.fieldnames \
@@ -272,7 +268,6 @@ def _cmd_plot(args):
             )
         points = [(float(row[args.x]), float(row[args.y])) for row in reader]
     svg = render_scatter(points, args.x, args.y, args.loglog)
-    started = _utcnow()
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(svg)
     _write_manifest(args.out, args, started)
@@ -369,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = rsub.add_parser("fit", help="fit a growth exponent from a sweep CSV")
     fit.add_argument("--in", dest="infile", required=True)
     fit.add_argument("--field", default="ratio",
-                     choices=["ratio", "floor_ratio", "norm_est", "op_norm"])
+                     choices=FIT_FIELDS)
     fit.add_argument("--logcorr", type=float, default=0.0)
     fit.add_argument("--json", action="store_true")
     fit.set_defaults(func=_cmd_ratio_fit)
@@ -394,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.command_line = [parser.prog, *argv]
     try:
         return args.func(args)
     except (ValidationError, DomainError) as exc:

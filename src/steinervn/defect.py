@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf, log
 
 import numpy as np
@@ -35,15 +35,16 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
-CSV_COLUMNS = ["k", "q", "r", "n", "seed", "num_blocks", "norm_est", "norm_method",
-               "op_norm", "ratio", "floor_ratio", "ksz_ref", "analytic_lower_ref",
-               "normalized_flag", "elapsed_ms"]
-
 IVP_FLAG_TOL = 1e-6
+
+# The RatioRecord fields fit_exponent fits; ``ratio fit --field`` offers these.
+FIT_FIELDS = ("ratio", "floor_ratio", "norm_est", "op_norm")
 
 
 @dataclass
 class RatioRecord:
+    """One sweep cell; its fields, in order, are the sweep CSV columns."""
+
     k: int
     q: float
     r: float
@@ -59,6 +60,9 @@ class RatioRecord:
     analytic_lower_ref: float
     normalized_flag: bool
     elapsed_ms: int
+
+
+CSV_COLUMNS = [f.name for f in fields(RatioRecord)]
 
 
 @dataclass
@@ -195,26 +199,19 @@ def sweep(config: SweepConfig) -> list:
     return records
 
 
+def _parse_cell(kind, text: str):
+    """Inverse of _format_cell for a field of type ``kind``."""
+    return text == "1" if kind is bool else kind(text)
+
+
 def load_records(path) -> list:
     """Read a sweep CSV back into RatioRecord objects."""
-    out = []
     with open(path, encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ValidationError(f"{path}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            out.append(RatioRecord(
-                k=int(row["k"]), q=float(row["q"]), r=float(row["r"]),
-                n=int(row["n"]), seed=int(row["seed"]),
-                num_blocks=int(row["num_blocks"]),
-                norm_est=float(row["norm_est"]), norm_method=row["norm_method"],
-                op_norm=float(row["op_norm"]), ratio=float(row["ratio"]),
-                floor_ratio=float(row["floor_ratio"]), ksz_ref=float(row["ksz_ref"]),
-                analytic_lower_ref=float(row["analytic_lower_ref"]),
-                normalized_flag=row["normalized_flag"] == "1",
-                elapsed_ms=int(row["elapsed_ms"]),
-            ))
-    return out
+        return [RatioRecord(*(_parse_cell(f.type, row[f.name]) for f in fields(RatioRecord)))
+                for row in reader]
 
 
 def least_squares_line(xs, ys) -> tuple:
@@ -237,7 +234,7 @@ def fit_exponent(records: list, field_name: str = "ratio",
     clean power law n^s times ln^c n fits to slope s.  Nonpositive or
     non-finite values are excluded with a warning.
     """
-    if field_name not in {"ratio", "floor_ratio", "norm_est", "op_norm"}:
+    if field_name not in FIT_FIELDS:
         raise ValidationError(f"cannot fit field {field_name!r}")
     by_n = {}
     for rec in records:

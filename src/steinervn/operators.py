@@ -34,8 +34,8 @@ from .errors import DomainError, ValidationError
 from .polynomials import Budgets, SteinerPolynomial
 from .seeding import rng_for
 
-# Entry-magnitude budget before a product could overflow int64; products
-# exceeding it are recomputed with Python integers.
+# Entry-magnitude budget before a product could overflow int64; checked_matmul
+# raises OverflowError for any product whose bound reaches it.
 _OVERFLOW_GUARD = 1 << 62
 
 
@@ -82,36 +82,17 @@ def build_basis(n: int, k: int) -> HilbertBasis:
     return HilbertBasis(n, k, vectors, {v: i for i, v in enumerate(vectors)})
 
 
-@dataclass
-class IntSparseOperator:
-    """Exact integer sparse matrix; storage never holds floats."""
-
-    dim: int
-    mat: sparse.csc_array
-
-    @property
-    def nnz(self) -> int:
-        return self.mat.nnz
-
-    def entries(self) -> list:
-        """(row, col, value) triples sorted by column then row."""
-        coo = self.mat.tocoo()
-        triples = sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
-        return [(r, c, int(v)) for c, r, v in triples]
-
-
-def _from_triples(dim, rows, cols, vals) -> IntSparseOperator:
-    mat = sparse.csc_array(
-        (np.asarray(vals, dtype=np.int64), (np.asarray(rows), np.asarray(cols))),
-        shape=(dim, dim),
-    )
+def _from_triples(dim, triples) -> sparse.csc_array:
+    """int64 dim x dim matrix from (row, col, value) triples; duplicates add."""
+    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    mat = sparse.csc_array((vals, (rows, cols)), shape=(dim, dim))
     mat.sum_duplicates()
-    return IntSparseOperator(dim, mat)
+    return mat
 
 
 @dataclass
 class OperatorTuple:
-    """n integer operators sharing one basis, plus a lazily applied scale.
+    """n int64 sparse operators sharing one basis, plus a lazily applied scale.
 
     The scale multiplies each operator at evaluation time only: structure
     checks always run on the raw integer matrices.
@@ -166,14 +147,11 @@ def build_operators(p: SteinerPolynomial) -> OperatorTuple:
 
     ops = []
     for l in range(n):
-        rows, cols, vals = [], [], []
+        triples = []
         for m in range(k - 2):
             for idx in combinations_with_replacement(range(n), m):
-                col = basis.index[("e", idx)]
-                row = basis.index[("e", tuple(sorted(idx + (l,))))]
-                rows.append(row)
-                cols.append(col)
-                vals.append(1)
+                triples.append((basis.index[("e", tuple(sorted(idx + (l,))))],
+                                basis.index[("e", idx)], 1))
         for idx in combinations_with_replacement(range(n), k - 2):
             if l in idx or len(set(idx)) != len(idx):
                 continue  # repeated index: no block is a multiset
@@ -181,13 +159,9 @@ def build_operators(p: SteinerPolynomial) -> OperatorTuple:
             hit = completion.get(key)
             if hit is not None:
                 i, sign, _ = hit
-                rows.append(basis.index[("f", i)])
-                cols.append(basis.index[("e", idx)])
-                vals.append(sign)
-        rows.append(basis.g_index())
-        cols.append(basis.index[("f", l)])
-        vals.append(1)
-        ops.append(_from_triples(basis.dim, rows, cols, vals))
+                triples.append((basis.index[("f", i)], basis.index[("e", idx)], sign))
+        triples.append((basis.g_index(), basis.index[("f", l)], 1))
+        ops.append(_from_triples(basis.dim, triples))
     return OperatorTuple(basis, ops, p)
 
 
@@ -225,9 +199,7 @@ def check_commuting(t: OperatorTuple) -> CommutationReport:
     """Exact check of T_l T_m = T_m T_l for all l < m."""
     for l in range(t.n):
         for m in range(l + 1, t.n):
-            delta = checked_matmul(t.ops[l].mat, t.ops[m].mat) - checked_matmul(
-                t.ops[m].mat, t.ops[l].mat
-            )
+            delta = checked_matmul(t.ops[l], t.ops[m]) - checked_matmul(t.ops[m], t.ops[l])
             if delta.nnz:
                 coo = delta.tocoo()
                 order = np.lexsort((coo.col, coo.row))
@@ -253,7 +225,7 @@ def gram_diagonal_check(t: OperatorTuple) -> list:
     """
     reports = []
     for op in t.ops:
-        gram = checked_matmul(op.mat.T, op.mat).tocoo()
+        gram = checked_matmul(op.T, op).tocoo()
         off = int(np.count_nonzero(gram.row != gram.col))
         diag = gram.data[gram.row == gram.col]
         is01 = off == 0 and (diag.size == 0 or bool(np.all((diag == 0) | (diag == 1))))
@@ -266,7 +238,7 @@ def gram_diagonal_check(t: OperatorTuple) -> list:
 # Exact grade-structure norms
 # ---------------------------------------------------------------------------
 
-def operator_norm(a: IntSparseOperator) -> float:
+def operator_norm(a: sparse.csc_array) -> float:
     """Spectral norm of an operator with at most one nonzero per column.
 
     Every T_l maps each basis vector to a multiple of a single basis vector,
@@ -274,7 +246,7 @@ def operator_norm(a: IntSparseOperator) -> float:
     The column property is checked in integers; a matrix that breaks it (only
     a hand-edited operator file can) raises ValidationError.
     """
-    mat = a.mat.tocsc(copy=True)
+    mat = a.tocsc(copy=True)
     mat.eliminate_zeros()
     per_col = np.diff(mat.indptr)
     if per_col.max(initial=0) > 1:
@@ -284,7 +256,7 @@ def operator_norm(a: IntSparseOperator) -> float:
             "have at most one per column"
         )
     row_sq = np.bincount(mat.indices, weights=mat.data.astype(np.float64) ** 2,
-                         minlength=a.dim)
+                         minlength=a.shape[0])
     return math.sqrt(row_sq.max(initial=0.0))
 
 
@@ -307,11 +279,22 @@ def apply_polynomial(t: OperatorTuple, p: SteinerPolynomial, vector) -> np.ndarr
     for block, sign in zip(p.system.blocks, p.signs):
         w = vector.astype(work_dtype)
         for j in block:
-            w = t.ops[j].mat @ w
+            w = t.ops[j] @ w
         acc += int(sign) * w if exact else float(sign) * w
     if t.scale != 1.0:
         acc = acc * t.scale ** t.k
     return acc
+
+
+def sink_image(t: OperatorTuple, p: SteinerPolynomial) -> tuple:
+    """(c, graded) for p(T)e of the unscaled tuple, in exact integers.
+
+    c is the coefficient of p(T)e on the sink g, and graded says whether
+    p(T)e vanishes off g.
+    """
+    image = apply_polynomial(t.with_scale(1.0), p, t.basis.e_vector())
+    g = t.basis.g_index()
+    return int(image[g]), not np.any(np.delete(image, g))
 
 
 def polynomial_operator_norm(t: OperatorTuple, p: SteinerPolynomial) -> float:
@@ -322,11 +305,10 @@ def polynomial_operator_norm(t: OperatorTuple, p: SteinerPolynomial) -> float:
     e and p(T) = c g e^T with c = (p(T)e)_g, which is |S| (criterion A3).
     The norm is |c| scale^k, with c taken from the exact integer image of e.
     """
-    image = apply_polynomial(t.with_scale(1.0), p, t.basis.e_vector())
-    g = t.basis.g_index()
-    if np.any(np.delete(image, g)):
+    coefficient, graded = sink_image(t, p)
+    if not graded:
         raise ValidationError("p(T)e has components off the sink g; the tuple is not graded")
-    return abs(int(image[g])) * t.scale ** t.k
+    return abs(coefficient) * t.scale ** t.k
 
 
 def contraction_normalize(t: OperatorTuple):
@@ -363,7 +345,7 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
     grades = [len(v[1]) if v[0] == "e" else (t.k - 1 if v[0] == "f" else t.k)
               for v in t.basis.vectors]
     bounds = np.searchsorted(grades, np.arange(t.k + 2))
-    coos = [op.mat.tocoo() for op in t.ops]
+    coos = [op.tocoo() for op in t.ops]
     rows = np.concatenate([c.row for c in coos])
     cols = np.concatenate([c.col for c in coos])
     data = np.concatenate([c.data for c in coos]).astype(np.float64)
@@ -422,7 +404,8 @@ def save_tuple(t: OperatorTuple, directory):
     """Write operators.txt and polynomial.txt under ``directory``.
 
     Header line: ``dim n k scale_num scale_den_exponent`` with
-    scale = scale_num * n^(-scale_den_exponent).  Entry lines: l row col value.
+    scale = scale_num * n^(-scale_den_exponent).  Entry lines: l row col value,
+    each operator's entries sorted by column then row.
     """
     import os
 
@@ -432,7 +415,9 @@ def save_tuple(t: OperatorTuple, directory):
     with open(os.path.join(directory, "operators.txt"), "w", encoding="ascii") as fh:
         fh.write(f"{t.dim} {t.n} {t.k} {t.scale!r} 0.0\n")
         for l, op in enumerate(t.ops):
-            for row, col, value in op.entries():
+            coo = op.tocoo()
+            for col, row, value in sorted(zip(coo.col.tolist(), coo.row.tolist(),
+                                              coo.data.tolist())):
                 fh.write(f"{l} {row} {col} {value}\n")
     save_polynomial(t.polynomial, os.path.join(directory, "polynomial.txt"))
 
@@ -456,11 +441,5 @@ def load_tuple(directory) -> OperatorTuple:
     for ln in lines[1:]:
         l, row, col, value = (int(x) for x in ln.split())
         triples[l].append((row, col, value))
-    ops = []
-    for l in range(n):
-        if triples[l]:
-            r, c, v = zip(*triples[l])
-        else:
-            r, c, v = (), (), ()
-        ops.append(_from_triples(dim, r, c, v))
-    return OperatorTuple(basis, ops, poly, scale)
+    return OperatorTuple(basis, [_from_triples(dim, entries) for entries in triples],
+                         poly, scale)

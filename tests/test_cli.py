@@ -44,6 +44,16 @@ def test_design_gen_and_verify(tmp_path, capsys):
     assert "OK, 12 blocks, fill 1.000" in stdout
 
 
+def test_manifest_records_the_parsed_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["some-host-program", "--flag"])
+    out = tmp_path / "sts7.txt"
+    argv = ["design", "gen", "--n", "7", "--method", "skolem", "--out", str(out)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    manifest = json.loads((tmp_path / "sts7.txt.manifest.json").read_text())
+    assert manifest["command_line"] == ["steinervn", *argv]
+
+
 def test_design_gen_bad_residue_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "design", "gen", "--n", "8", "--method", "bose",
                        "--out", str(tmp_path / "x.txt"))

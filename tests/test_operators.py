@@ -10,8 +10,7 @@ from steinervn.designs import (PartialSteinerSystem, greedy_construct,
                                skolem_construct)
 from steinervn.errors import DomainError, ValidationError
 from steinervn.norms import estimate_norm
-from steinervn.operators import (IntSparseOperator, OperatorTuple,
-                                 apply_polynomial, build_basis,
+from steinervn.operators import (OperatorTuple, apply_polynomial, build_basis,
                                  build_operators, check_commuting,
                                  contraction_normalize, gram_diagonal_check,
                                  linear_combination_sup, load_tuple,
@@ -89,24 +88,25 @@ def test_single_block_actions():
     p, t = single_block_tuple()
     basis = t.basis
     # T_0 e = e(0)
-    e_col = t.ops[0].mat[:, [basis.index[("e", ())]]].toarray().ravel()
+    e_col = t.ops[0][:, [basis.index[("e", ())]]].toarray().ravel()
     expected = np.zeros(t.dim)
     expected[basis.index[("e", (0,))]] = 1
     assert np.array_equal(e_col, expected)
     # T_0 e(1) = f_2 (the only block through {0,1} is {0,1,2})
-    col = t.ops[0].mat[:, [basis.index[("e", (1,))]]].toarray().ravel()
+    col = t.ops[0][:, [basis.index[("e", (1,))]]].toarray().ravel()
     nz = np.nonzero(col)[0]
     assert nz.tolist() == [basis.index[("f", 2)]]
     assert col[nz[0]] == 1
     # T_0 g = 0
-    g_col = t.ops[0].mat[:, [basis.g_index()]]
+    g_col = t.ops[0][:, [basis.g_index()]]
     assert g_col.nnz == 0
 
 
 def test_entries_are_unimodular():
     _, t = sts_tuple(9)
     for op in t.ops:
-        assert set(np.unique(op.mat.data)) <= {-1, 1}
+        assert isinstance(op, sparse.csc_array) and op.dtype == np.int64
+        assert set(np.unique(op.data)) <= {-1, 1}
 
 
 def test_misaligned_system_rejected():
@@ -128,15 +128,26 @@ def test_commuting_single_block():
 
 def test_commuting_detects_mutation():
     _, t = sts_tuple(7)
-    broken = t.ops[0].mat.tolil()
+    broken = t.ops[0].tolil()
     rows, cols = broken.nonzero()
     broken[rows[0], cols[0]] = -broken[rows[0], cols[0]]
-    mutated = OperatorTuple(t.basis, [IntSparseOperator(t.dim, broken.tocsc())]
+    mutated = OperatorTuple(t.basis, [broken.tocsc()]
                             + t.ops[1:], t.polynomial)
     report = check_commuting(mutated)
     assert not report.ok
     assert report.pair is not None and report.pair[0] == 0
     assert report.entry is not None
+
+
+def test_commuting_raises_when_entries_reach_overflow_guard():
+    # T_0 has one nonzero per row, so 2^31-sized entries bound each product
+    # entry by exactly 2^62, the guard
+    _, t = sts_tuple(7)
+    big = t.ops[0] * (1 << 31)
+    assert big.dtype == np.int64
+    huge = OperatorTuple(t.basis, [big, big] + t.ops[2:], t.polynomial)
+    with pytest.raises(OverflowError):
+        check_commuting(huge)
 
 
 def test_monomial_order_independence():
@@ -149,7 +160,7 @@ def test_monomial_order_independence():
             order = rng.permutation(3)
             m = sparse.identity(t.dim, dtype=np.int64, format="csc")
             for j in (block[o] for o in order):
-                m = t.ops[j].mat @ m
+                m = t.ops[j] @ m
             mats.append(m)
         for m in mats[1:]:
             assert (m - mats[0]).nnz == 0
@@ -192,14 +203,14 @@ def test_operator_norm_k4_sqrt2():
 
 
 def test_operator_norm_zero():
-    z = IntSparseOperator(4, sparse.csc_array((4, 4), dtype=np.int64))
+    z = sparse.csc_array((4, 4), dtype=np.int64)
     assert operator_norm(z) == 0.0
 
 
 def test_operator_norm_sanity_envelope():
     _, t = sts_tuple(13)
     for op in t.ops[:4]:
-        a = np.abs(op.mat).toarray()
+        a = np.abs(op).toarray()
         col_floor = math.sqrt((a * a).sum(axis=0).max())
         upper = math.sqrt(a.sum(axis=1).max() * a.sum(axis=0).max())
         v = operator_norm(op)
@@ -209,17 +220,17 @@ def test_operator_norm_sanity_envelope():
 def test_operator_norm_matches_dense_lapack():
     for p, t in (sts_tuple(7), sts_tuple(9), greedy_tuple(10, 4), greedy_tuple(9, 5)):
         for op in t.ops:
-            reference = np.linalg.norm(op.mat.toarray().astype(float), 2)
+            reference = np.linalg.norm(op.toarray().astype(float), 2)
             assert abs(operator_norm(op) - reference) <= 1e-12 * max(reference, 1.0)
 
 
 def test_operator_norm_rejects_two_nonzeros_in_a_column():
     _, t = sts_tuple(7)
-    edited = t.ops[0].mat.tolil()
+    edited = t.ops[0].tolil()
     col = t.basis.index[("e", ())]
     edited[t.basis.index[("e", (1,))], col] = 1  # T_0 e already has e(0)
     with pytest.raises(ValidationError, match="column"):
-        operator_norm(IntSparseOperator(t.dim, edited.tocsc()))
+        operator_norm(edited.tocsc())
 
 
 def test_contraction_normalize():
@@ -276,7 +287,7 @@ def test_polynomial_operator_norm_floor_under_scaling():
 
 def test_polynomial_operator_norm_matches_dense_product():
     for (p, t), scale in ((sts_tuple(7), 0.7), (greedy_tuple(10, 4), 1.3)):
-        dense = [scale * op.mat.toarray().astype(float) for op in t.ops]
+        dense = [scale * op.toarray().astype(float) for op in t.ops]
         pt = sum(float(sign) * reduce(np.matmul, [dense[j] for j in block])
                  for block, sign in zip(p.system.blocks, p.signs))
         reference = np.linalg.norm(pt, 2)
@@ -331,7 +342,7 @@ def test_lincomb_matches_polarization_identity():
 def dense_lincomb(t, q, starts, iters, seed):
     """The alternation of linear_combination_sup on full dim x dim matrices."""
     qp = q / (q - 1.0)
-    dense = [op.mat.toarray().astype(complex) for op in t.ops]
+    dense = [op.toarray().astype(complex) for op in t.ops]
     best = 0.0
     for s_idx in range(starts):
         rng = rng_for(seed, "lincomb", s_idx)
@@ -386,13 +397,15 @@ def test_tuple_roundtrip(tmp_path):
     loaded = load_tuple(tmp_path / "op")
     assert loaded.dim == t.dim and loaded.scale == t.scale
     for a, b in zip(loaded.ops, t.ops):
-        assert (a.mat - b.mat).nnz == 0
+        assert (a - b).nnz == 0
     assert np.array_equal(loaded.polynomial.signs, p.signs)
 
 
-def test_entries_column_sorted():
+def test_entries_column_sorted(tmp_path):
     _, t = sts_tuple(7)
-    for op in t.ops:
-        entries = op.entries()
-        keys = [(c, r) for r, c, _ in entries]
+    save_tuple(t, tmp_path)
+    lines = (tmp_path / "operators.txt").read_text().splitlines()[1:]
+    entries = [tuple(int(x) for x in ln.split()) for ln in lines]
+    for l in range(t.n):
+        keys = [(c, r) for op_l, r, c, _ in entries if op_l == l]
         assert keys == sorted(keys)

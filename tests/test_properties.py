@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from steinervn.defect import RatioRecord, _write_rows, load_records
 from steinervn.designs import greedy_construct, load_system, save_system, verify_system
 from steinervn.norms import estimate_norm, recertify
-from steinervn.operators import build_operators, load_tuple, save_tuple
-from steinervn.polynomials import SteinerPolynomial, load_polynomial, save_polynomial
+from steinervn.operators import (build_operators, check_commuting, load_tuple,
+                                 operator_norm, polynomial_operator_norm, save_tuple)
+from steinervn.polynomials import (SteinerPolynomial, load_polynomial, relabel,
+                                   save_polynomial)
 
 # Repeatable runs that leave no example database behind.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -30,6 +32,12 @@ def signed(system, data):
     signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=system.num_blocks,
                                max_size=system.num_blocks))
     return SteinerPolynomial(system, np.array(signs, dtype=np.int8))
+
+
+def entries(op):
+    """(col, row, value) triples of a sparse operator, sorted."""
+    coo = op.tocoo()
+    return sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
 
 
 def same_cell(a, b):
@@ -96,7 +104,25 @@ def test_tuple_files_roundtrip(system, data):
     assert (loaded.dim, loaded.n, loaded.k, loaded.scale) == (t.dim, t.n, t.k, scale)
     assert loaded.polynomial.system == system
     assert np.array_equal(loaded.polynomial.signs, t.polynomial.signs)
-    assert [op.entries() for op in loaded.ops] == [op.entries() for op in t.ops]
+    assert [entries(op) for op in loaded.ops] == [entries(op) for op in t.ops]
+
+
+@PROPERTY
+@given(greedy_systems(min_k=3), st.data())
+def test_norms_and_commutation_invariant_under_relabel(system, data):
+    p = signed(system, data)
+    perm = data.draw(st.permutations(range(system.n)))
+    moved = relabel(p, perm)
+    t, t_moved = build_operators(p), build_operators(moved)
+    assert check_commuting(t_moved).ok
+    assert polynomial_operator_norm(t_moved, moved) == polynomial_operator_norm(t, p)
+    assert sorted(map(operator_norm, t_moved.ops)) == sorted(map(operator_norm, t.ops))
+    # relabel(p, perm)(z) = p(z[perm]), so the witness moves to z with z[perm] = w
+    q = data.draw(st.one_of(st.just(inf), st.floats(1.0, 8.0)))
+    est = estimate_norm(p, q, starts=2, max_iters=30, seed=data.draw(st.integers(0, 2**31 - 1)))
+    witness = np.empty_like(est.witness)
+    witness[list(perm)] = est.witness
+    assert recertify(moved, dataclasses.replace(est, witness=witness))
 
 
 @PROPERTY
