@@ -200,18 +200,36 @@ def sweep(config: SweepConfig) -> list:
 
 
 def _parse_cell(kind, text: str):
-    """Inverse of _format_cell for a field of type ``kind``."""
-    return text == "1" if kind is bool else kind(text)
+    """Inverse of _format_cell for a field of type ``kind``; ValueError if it does not parse."""
+    if kind is bool:
+        if text not in ("0", "1"):
+            raise ValueError(f"not a flag: {text!r}")
+        return text == "1"
+    return kind(text)
 
 
 def load_records(path) -> list:
-    """Read a sweep CSV back into RatioRecord objects."""
+    """Read a sweep CSV back into RatioRecord objects.
+
+    A row with too few or too many cells, or a cell that does not parse,
+    raises ValidationError naming the CSV line.
+    """
     with open(path, encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ValidationError(f"{path}: unexpected columns {reader.fieldnames}")
-        return [RatioRecord(*(_parse_cell(f.type, row[f.name]) for f in fields(RatioRecord)))
-                for row in reader]
+        records = []
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            # DictReader keys extra cells by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValidationError(f"{where}: expected {len(CSV_COLUMNS)} cells")
+            try:
+                records.append(RatioRecord(*(_parse_cell(f.type, row[f.name])
+                                             for f in fields(RatioRecord))))
+            except ValueError as exc:
+                raise ValidationError(f"{where}: bad cell ({exc})") from exc
+        return records
 
 
 def least_squares_line(xs, ys) -> tuple:

@@ -110,11 +110,10 @@ def _align_burnin(p, z, q):
     return best_z
 
 
-_LS_CHUNK = 8
-_LS_MIN_STEP = 1e-18
-# Step sizes of the successive backtracking passes, _LS_CHUNK halvings each.
-_ALPHAS = [STEP0 * STEP_SHRINK ** (_LS_CHUNK * i) * STEP_SHRINK ** np.arange(_LS_CHUNK)
-           for i in range(64) if STEP0 * STEP_SHRINK ** (_LS_CHUNK * i) > _LS_MIN_STEP]
+# Armijo step sizes, halving from STEP0 down to 2^-64 (about 5e-20).
+_ALPHAS = STEP0 * STEP_SHRINK ** np.arange(64)
+_LS_CHUNK = 8  # width of every line-search pass after a step's first
+_LS_FIRST_MAX = 24  # widest first pass
 
 
 def _discard(f, rows, reason):
@@ -128,19 +127,26 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name):
 
     ``to_point`` maps states to the points p is evaluated at,
     ``direction(z, f, val, partials)`` gives each row's ascent direction and
-    its squared norm, and ``step(x, alphas, d)`` gives the (rows, chunk, n)
-    candidate states with a mask of the usable ones (True: all); one pass
-    evaluates the candidates of all searching rows together.  Each row keeps
-    its own line search from step 0.5 (halving, Armijo constant 1e-4) and
-    its own stop: zero gradient, no Armijo step above 1e-18, a relative gain
-    below tol, or max_iters.  A row whose direction or candidate values turn
-    non-finite is discarded with a warning and its |p|^2 set to NaN.
-    Returns (points, |p|^2, iterations per row).
+    its squared norm, and ``step(x, alphas, d)`` gives the (rows, width, n)
+    candidate states with a mask of the usable ones (True: all).  Each row
+    keeps its own line search over the steps _ALPHAS (0.5, halving, Armijo
+    constant 1e-4) and takes the first step that passes, and its own stop:
+    zero gradient, no passing step, a relative gain below tol, or max_iters.
+    A pass evaluates the candidates of all searching rows together.  The
+    first pass of a step covers the steps down to 2 past the deepest one any
+    row took in the step before (8 steps on the first step, at most 24), so
+    that one pass usually settles every row; rows still searching go on in
+    passes of 8 steps.  The passes change only the cost, not the steps taken.
+    A row whose direction, or a candidate value at or before the step it
+    takes, turns non-finite is discarded with a warning and its |p|^2 set to
+    NaN.  Returns (points, |p|^2, iterations per row).
     """
     z = to_point(x)
     f = np.abs(evaluate_many(p, z)) ** 2
-    iters = np.zeros(len(x), dtype=np.int64)
-    live = np.arange(len(x))
+    num, dim = x.shape
+    iters = np.zeros(num, dtype=np.int64)
+    live = np.arange(num)
+    width = _LS_CHUNK
     for _ in range(max_iters):
         if not live.size:
             break
@@ -153,26 +159,38 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name):
             _discard(f, live[~finite], f"non-finite gradient in {name}")
         searching = finite & (gn2 != 0.0)
         live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
-        moving = [live[:0]]
-        for alphas in _ALPHAS:
+        moving, deepest = [live[:0]], 0
+        lo, hi = 0, width
+        while live.size and lo < len(_ALPHAS):
+            alphas = _ALPHAS[lo:hi]
             cands, usable = step(x[live], alphas, d)
             points = to_point(cands)
-            fs = np.abs(evaluate_many(p, points.reshape(-1, x.shape[1]))) ** 2
-            fs = np.where(usable, fs.reshape(len(live), _LS_CHUNK), -1.0)
-            finite = np.isfinite(fs).all(axis=1)
+            fs = np.abs(evaluate_many(p, points.reshape(-1, dim))) ** 2
+            fs = np.where(usable, fs.reshape(len(live), len(alphas)), -1.0)
             armijo = fs >= f_live[:, None] + ARMIJO * alphas * gn2[:, None]
-            found = finite & armijo.any(axis=1)
-            hit = armijo[found].argmax(axis=1)
-            rows, f_new = live[found], fs[found, hit]
-            gain = (f_new - f_live[found]) / np.maximum(f_new, 1e-300)
-            x[rows], z[rows], f[rows] = cands[found, hit], points[found, hit], f_new
+            hit = armijo.argmax(axis=1)
+            settled = ok = armijo.any(axis=1)
+            if not np.isfinite(fs).all():
+                # a row fails at a non-finite value at or before the step it takes
+                bad = ~np.isfinite(fs)
+                failed = bad.any(axis=1) & (bad.argmax(axis=1) <= np.where(ok, hit, len(alphas)))
+                _discard(f, live[failed], "non-finite objective in line search")
+                ok, settled = ok & ~failed, ok | failed
+            took = ok.nonzero()[0]
+            pick = took * len(alphas) + hit[took]  # flat (row, step) index of each step taken
+            rows, f_new = live[took], fs.reshape(-1)[pick]
+            gain = (f_new - f_live[took]) / np.maximum(f_new, 1e-300)
+            x[rows], z[rows], f[rows] = (cands.reshape(-1, dim)[pick],
+                                         points.reshape(-1, dim)[pick], f_new)
             moving.append(rows[gain >= tol])
-            if not finite.all():
-                _discard(f, live[~finite], "non-finite objective in line search")
-            searching = finite & ~found
-            if not searching.any():
+            if took.size:
+                deepest = max(deepest, lo + max(hit[took].tolist()))
+            if settled.all():
                 break
+            searching = ~settled
             live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
+            lo, hi = hi, hi + _LS_CHUNK
+        width = min(deepest + 3, _LS_FIRST_MAX)
         live = np.concatenate(moving)
     return z, f, iters
 
@@ -231,7 +249,7 @@ def _sphere_ascent(p, z, q, max_iters, tol):
         cands = z[:, None, :] + alphas[None, :, None] * d[:, None, :]
         norms = _qnorm_rows(cands.reshape(-1, z.shape[1]), q).reshape(cands.shape[:2])
         usable = norms > 0.0
-        cands[usable] /= norms[usable, None]
+        cands /= np.where(usable, norms, 1.0)[..., None]  # in place: no masked copies
         return cands, usable
 
     z = z / qnorm(z, q)[:, None]

@@ -430,16 +430,30 @@ def load_tuple(directory) -> OperatorTuple:
     poly = load_polynomial(os.path.join(directory, "polynomial.txt"))
     path = os.path.join(directory, "operators.txt")
     with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    dim, n, k = int(head[0]), int(head[1]), int(head[2])
-    scale = float(head[3]) * n ** (-float(head[4]))
+        lines = [(num, ln.split()) for num, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise ValidationError(f"{path}: empty operator file")
+    try:
+        head = lines[0][1]
+        dim, n, k = int(head[0]), int(head[1]), int(head[2])
+        scale = float(head[3]) * n ** (-float(head[4]))
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(f"{path}: line {lines[0][0]}: bad header") from exc
     basis = build_basis(n, k)
     if basis.dim != dim:
         raise ValidationError(f"{path}: header dim {dim} != basis dim {basis.dim}")
     triples = [[] for _ in range(n)]
-    for ln in lines[1:]:
-        l, row, col, value = (int(x) for x in ln.split())
+    for num, tokens in lines[1:]:
+        try:
+            l, row, col, value = (int(x) for x in tokens)
+        except ValueError as exc:  # a non-integer token, or not exactly four of them
+            raise ValidationError(f"{path}: line {num}: expected four integers "
+                                  f"'l row col value'") from exc
+        if not 0 <= l < n:
+            raise ValidationError(f"{path}: line {num}: operator index {l} outside [0, {n})")
+        if not (0 <= row < dim and 0 <= col < dim):
+            raise ValidationError(f"{path}: line {num}: entry ({row}, {col}) outside "
+                                  f"[0, {dim}) x [0, {dim})")
         triples[l].append((row, col, value))
     return OperatorTuple(basis, [_from_triples(dim, entries) for entries in triples],
                          poly, scale)

@@ -8,7 +8,7 @@ tetrahedral by construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .seeding import derive_seed, rng_for
 COMPENSATED_THRESHOLD = 10**4
 
 # Most monomials one kernel pass holds: batched rows are processed in tiles
-# of this many monomials so the (rows, m) temporaries stay in cache.
+# of this many monomials (a k-th of it in value_and_partials, which keeps k
+# times the temporaries) so the (rows, m) temporaries stay in cache.
 TILE_MONOMIALS = 1 << 14
 
 
@@ -32,6 +33,8 @@ class SteinerPolynomial:
 
     system: PartialSteinerSystem
     signs: np.ndarray
+
+    _plan: "_KernelPlan" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.int8)
@@ -54,6 +57,38 @@ class SteinerPolynomial:
     def num_terms(self) -> int:
         return self.system.num_blocks
 
+    def kernel_plan(self) -> "_KernelPlan":
+        """The index and sign arrays the batched kernels reuse; built on first use, cached."""
+        if self._plan is None:
+            self._plan = _KernelPlan(self.system.blocks_array(), self.signs, self.n)
+        return self._plan
+
+
+class _KernelPlan:
+    """Per-polynomial arrays of evaluate_many and value_and_partials.
+
+    ``cols[i]`` is block column i as a contiguous index array and ``signs``
+    the signs as complex numbers.  ``bins(rows)[pos]`` scatters the
+    contributions of block position pos in a tile of ``rows`` points onto
+    the float64 view of the (rows, n) partials: weight (r, 2 i + part), the
+    real (part 0) or imaginary (part 1) half of monomial i's term, goes to
+    bin 2 (r n + blocks[i, pos]) + part.  The bins are built for the largest
+    tile seen and sliced for smaller ones.
+    """
+
+    def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
+        self.cols = [np.ascontiguousarray(blocks[:, i]) for i in range(blocks.shape[1])]
+        self.signs = signs.astype(np.complex128)
+        self._n = n
+        self._bins = np.empty((blocks.shape[1], 0, 2 * len(blocks)), dtype=np.int64)
+
+    def bins(self, rows: int) -> np.ndarray:
+        if rows > self._bins.shape[1]:
+            parts = 2 * np.stack(self.cols)[:, :, None] + np.arange(2)  # (k, m, 2)
+            rowbase = 2 * self._n * np.arange(rows)[:, None]
+            self._bins = rowbase + parts.reshape(len(self.cols), 1, -1)  # (k, rows, 2m)
+        return self._bins[:, :rows]
+
 
 def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:
     """z as one complex point of p (ndim 1) or as an (N, n) batch of them (ndim 2)."""
@@ -64,17 +99,26 @@ def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:
     return z
 
 
-def _row_tiles(num_rows: int, m: int):
-    """Row slices holding at most TILE_MONOMIALS monomials each (at least one row)."""
-    step = max(1, TILE_MONOMIALS // m)
-    return [slice(lo, lo + step) for lo in range(0, num_rows, step)]
+def _row_tiles(num_rows: int, width: int):
+    """Row slices of about TILE_MONOMIALS / width rows each (at least one row).
+
+    A last tile of one row joins the tile before it: BLAS sums a lone row in
+    another order, and every row of a batch must get the same bits whatever
+    the batch's size.
+    """
+    step = max(1, TILE_MONOMIALS // width)
+    bounds = list(range(0, num_rows, step)) + [num_rows]
+    if step > 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _monomials(points: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Products of the block coordinates, (N, n) points -> (N, m) monomials."""
-    acc = np.take(points, blocks[:, 0], axis=1)  # C order: the matvec's rounding follows layout
-    for col in range(1, blocks.shape[1]):
-        acc *= np.take(points, blocks[:, col], axis=1)
+def _monomials(points: np.ndarray, cols) -> np.ndarray:
+    """Products of the block coordinates, (N, n) points -> (N, m) monomials;
+    ``cols`` holds the k block columns."""
+    acc = np.take(points, cols[0], axis=1)  # C order: the matvec's rounding follows layout
+    for col in cols[1:]:
+        acc *= np.take(points, col, axis=1)
     return acc
 
 
@@ -83,7 +127,7 @@ def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
 
     Used to certify optimizer witnesses independently of the ascent path.
     """
-    t = p.signs * _monomials(_as_points(p, z, 1)[None, :], p.system.blocks_array())[0]
+    t = p.signs * _monomials(_as_points(p, z, 1)[None, :], p.system.blocks_array().T)[0]
     return complex(math.fsum(t.real), math.fsum(t.imag))
 
 
@@ -94,10 +138,9 @@ def evaluate_many(p: SteinerPolynomial, points: np.ndarray) -> np.ndarray:
     out = np.zeros(points.shape[0], dtype=np.complex128)
     if p.num_terms == 0:
         return out
-    blocks = p.system.blocks_array()
-    signs = p.signs.astype(np.complex128)
+    plan = p.kernel_plan()
     for rows in _row_tiles(points.shape[0], p.num_terms):
-        out[rows] = _monomials(points[rows], blocks) @ signs
+        out[rows] = _monomials(points[rows], plan.cols) @ plan.signs
     return out
 
 
@@ -107,8 +150,9 @@ def value_and_partials(p: SteinerPolynomial, z) -> tuple:
     dp/dz_j = sum over blocks J containing j of c_J * prod_{i in J, i != j} z_i.
     A point of shape (n,) gives (complex, (n,) array); an (N, n) array gives
     ((N,) values, (N, n) partials), each row bit-identical to the call on
-    that row alone.  Rows are processed in tiles of at most TILE_MONOMIALS
-    monomials, so the per-column temporaries stay cache-sized.
+    that row alone.  It keeps about 3k (rows, m) temporaries where
+    evaluate_many keeps two, so its row tiles hold TILE_MONOMIALS / k
+    monomials, and the temporaries and the plan's bins stay cache-sized.
     """
     single = np.ndim(z) == 1
     points = _as_points(p, z, 1 if single else 2).reshape(-1, p.n)
@@ -116,11 +160,12 @@ def value_and_partials(p: SteinerPolynomial, z) -> tuple:
     values = np.zeros(num, dtype=np.complex128)
     partials = np.zeros((num, n), dtype=np.complex128)
     if p.num_terms:
-        blocks = p.system.blocks_array()
-        m, k = blocks.shape
-        signs = p.signs.astype(np.complex128)
-        for rows in _row_tiles(num, m):
-            cols = [np.take(points[rows], blocks[:, i], axis=1) for i in range(k)]  # (r, m)
+        plan = p.kernel_plan()
+        m, k = p.num_terms, p.k
+        signs = plan.signs
+        flat = partials.view(np.float64)  # (num, 2n): re, im of each partial in turn
+        for rows in _row_tiles(num, k * m):
+            cols = [np.take(points[rows], col, axis=1) for col in plan.cols]  # (r, m)
             # products of columns 0..i (prefix[i]), i..k-1 (suffix[i]), all but pos (others[pos])
             prefix, suffix = [cols[0]], [None] * (k - 1) + [cols[k - 1]]
             for i in range(1, k):
@@ -129,14 +174,13 @@ def value_and_partials(p: SteinerPolynomial, z) -> tuple:
                 suffix[i] = suffix[i + 1] * cols[i]
             others = ([suffix[1]] + [prefix[i - 1] * suffix[i + 1] for i in range(1, k - 1)]
                       + [prefix[k - 2]])
-            # row r's partials are bins r * n + j of one flat bincount (a view)
-            flat = partials[rows].reshape(-1)
-            offsets = n * np.arange(len(cols[0]))[:, None]
+            # one bincount per position on the interleaved (re, im) halves of the terms
+            # and partials: each bin adds the terms of one partial's half in block order
+            out = flat[rows].reshape(-1)  # a view
+            bins = plan.bins(len(cols[0]))
             for pos in range(k):
-                w = signs * others[pos]
-                idx = (offsets + blocks[:, pos]).reshape(-1)
-                flat += np.bincount(idx, weights=w.real.reshape(-1), minlength=flat.size)
-                flat += 1j * np.bincount(idx, weights=w.imag.reshape(-1), minlength=flat.size)
+                w = (signs * others[pos]).view(np.float64).reshape(-1)
+                out += np.bincount(bins[pos].reshape(-1), weights=w, minlength=out.size)
             terms = signs * prefix[k - 1]
             if m > COMPENSATED_THRESHOLD:
                 values[rows] = [complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms]

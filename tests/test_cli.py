@@ -125,6 +125,62 @@ def test_op_build_and_check(tmp_path, capsys):
     assert "column 0" in stderr
 
 
+def built_tuple(tmp_path, capsys):
+    """Directory of a small STS(7) operator tuple written by ``op build``."""
+    design, poly, opdir = tmp_path / "sts7.txt", tmp_path / "poly.txt", tmp_path / "ops"
+    run(capsys, "design", "gen", "--n", "7", "--method", "skolem", "--out", str(design))
+    run(capsys, "poly", "sample", "--design", str(design), "--seed", "3", "--rounds", "1",
+        "--q", "inf", "--out", str(poly), "--search-starts", "1", "--search-iters", "5",
+        "--starts", "1", "--iters", "5")
+    run(capsys, "op", "build", "--poly", str(poly), "--out", str(opdir))
+    return opdir
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("-1 15 0 1", "operator index -1 outside [0, 7)"),
+    ("7 0 0 1", "operator index 7 outside [0, 7)"),
+    ("0 {dim} 0 1", "outside [0, {dim})"),
+    ("0 0 -1 1", "outside [0, {dim})"),
+    ("0 1 2", "expected four integers"),
+    ("0 1 2 3 4", "expected four integers"),
+    ("0 1 x 1", "expected four integers"),
+    (None, "line 1: bad header"),
+])
+def test_op_check_rejects_bad_line(tmp_path, capsys, entry, message):
+    path = built_tuple(tmp_path, capsys) / "operators.txt"
+    lines = path.read_text().splitlines()
+    dim = lines[0].split()[0]
+    if entry is None:
+        lines[0], where = "x " + lines[0], 1
+    else:
+        lines, where = lines + [entry.format(dim=dim)], len(lines) + 1
+    path.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run(capsys, "op", "check", "--in", str(path.parent))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert f"operators.txt: line {where}: " in stderr
+    assert message.format(dim=dim) in stderr
+
+
+@pytest.mark.parametrize("row, message", [
+    ("3,inf,inf,7", "line 3: expected 15 cells"),
+    ("3,inf,inf,7,0,7,1.0,synthetic,2.0,2.0,2.0,1.0,1.0,0,1,9", "line 3: expected 15 cells"),
+    ("3,inf,inf,seven,0,7,1.0,synthetic,2.0,2.0,2.0,1.0,1.0,0,1", "line 3: bad cell"),
+    ("3,inf,inf,7,0,7,1.0,synthetic,2.0,2.0,2.0,1.0,1.0,yes,1", "line 3: bad cell"),
+])
+def test_ratio_fit_rejects_bad_row(tmp_path, capsys, row, message):
+    path = tmp_path / "sweep.csv"
+    write_power_law_csv(path, ns=(10,))
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    code, stdout, stderr = run(capsys, "ratio", "fit", "--in", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert f"sweep.csv: {message}" in stderr
+
+
 def test_ratio_fit_synthetic(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     write_power_law_csv(path)

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 from math import factorial, inf, log
@@ -159,6 +160,27 @@ def test_estimate_matches_pinned_single_start_ascent(poly, q, value, iterations,
     assert np.abs(est.witness - np.array(witness)).max() <= 1e-9
 
 
+# estimate_norm at the default Budgets on STS(25) at q = inf and on STS(49) at
+# q = 2, two sign patterns each, pinned to the bit: (n, q, seed, value.hex(),
+# iterations, first 16 hex digits of the SHA-256 of the witness's bytes).  A
+# change to the line search or the kernels that moves one accepted step moves
+# these.  Computed with numpy's bundled OpenBLAS on x86-64.
+PINNED_DEFAULT_ESTIMATES = [
+    (25, inf, 0, "0x1.fce44b05fcfd5p+5", 1869, "361a4246f9be4a3c"),
+    (25, inf, 1, "0x1.f124fb01ae8a3p+5", 2578, "3baedd065b7518d6"),
+    (49, 2.0, 0, "0x1.2d228fecc1004p-1", 347, "3cf564b042e6b35c"),
+    (49, 2.0, 1, "0x1.2f6249e1ba0f2p-1", 189, "25a7107b0d46ed59"),
+]
+
+
+@pytest.mark.parametrize("n, q, seed, value, iterations, witness", PINNED_DEFAULT_ESTIMATES)
+def test_default_budget_estimate_is_pinned_to_the_bit(n, q, seed, value, iterations, witness):
+    system = skolem_construct(n)
+    est = estimate_norm(SteinerPolynomial(system, random_signs(system, seed)), q, seed=seed)
+    assert (est.value.hex(), est.iterations) == (value, iterations)
+    assert hashlib.sha256(est.witness.tobytes()).hexdigest()[:16] == witness
+
+
 def poison_start(monkeypatch, p, q, seed, bad):
     """Make value_and_partials non-finite at the starting points of the starts in ``bad``.
 
@@ -208,6 +230,38 @@ def test_all_starts_nonfinite_raises(monkeypatch, caplog):
         with pytest.raises(ConvergenceError):
             estimate_norm(p, inf, starts=3, max_iters=200, seed=4)
     assert len(caplog.records) == 3
+
+
+@pytest.mark.parametrize("poisoned, discarded", [(lambda a: a < 0.5, False),
+                                                  (lambda a: a == 0.5, True)],
+                         ids=["after the step taken", "at the step taken"])
+def test_line_search_discards_only_on_values_up_to_the_step_taken(caplog, poisoned, discarded):
+    # a direction short enough that every row takes the first step, 0.5
+    p = seeded_poly(13, 3, 6)
+    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (3, p.n))
+
+    def direction(z, f, val, partials):
+        d = -2e-3 * np.imag(np.conj(val)[:, None] * partials * z)
+        return d, np.sum(d * d, axis=1) / 1e-3
+
+    def ascent(bad):
+        def step(theta, alphas, d):
+            cands = theta[:, None, :] + alphas[None, :, None] * d[:, None, :]
+            cands[:, bad(alphas)] = np.nan
+            return cands, True
+
+        return norms._armijo_ascent(p, theta.copy(), lambda t: np.exp(1j * t), direction, step,
+                                    5, 1e-10, "test")
+
+    clean = ascent(lambda a: a < 0.0)
+    with caplog.at_level(logging.WARNING, logger=norms.__name__):
+        z, f, iters = ascent(poisoned)
+    if discarded:
+        assert np.isnan(f).all() and len(caplog.records) == 3
+    else:
+        assert not caplog.records
+        assert np.array_equal(z, clean[0]) and np.array_equal(f, clean[1])
+        assert np.array_equal(iters, clean[2]) and (iters == 5).all()
 
 
 def test_sts7_estimate_matches_oracle_within_2pct():

@@ -178,6 +178,27 @@ def test_evaluate_many_batch_matches_rows():
             assert abs(batch[i] - evaluate_many(p, pts[i:i + 1])[0]) <= 1e-15 * scale[i]
 
 
+def test_evaluate_many_row_bits_do_not_depend_on_the_batch():
+    # a tile holds 163 rows of STS(25), so a 164-row batch would end in a lone row
+    sts25 = skolem_construct(25)
+    p = SteinerPolynomial(sts25, random_signs(sts25, 2))
+    pts = np.exp(1j * np.random.default_rng(14).uniform(0.0, 2.0 * np.pi, (164, 25)))
+    batch = evaluate_many(p, pts)
+    for lo in (1, 100, 162):
+        assert np.array_equal(evaluate_many(p, pts[lo:]), batch[lo:])
+
+
+def test_kernel_plan_built_on_first_use_and_cached():
+    sts7 = skolem_construct(7)
+    p = SteinerPolynomial(sts7, random_signs(sts7, 1))
+    assert p._plan is None
+    value_and_partials(p, np.ones((5, 7)))
+    plan = p.kernel_plan()
+    assert p._plan is plan and plan.bins(5).shape == (3, 5, 2 * p.num_terms)
+    value_and_partials(p, np.ones((3, 7)))
+    assert p.kernel_plan() is plan and np.shares_memory(plan.bins(3), plan.bins(5))
+
+
 def test_value_and_partials_single_point_unchanged():
     rng = np.random.default_rng(13)
     for p in (single_block(), two_blocks(), random_poly(9, 3, 4), random_poly(10, 4, 2)):
