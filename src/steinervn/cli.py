@@ -257,6 +257,14 @@ def _cmd_ratio_d32(args):
 # plot
 # ---------------------------------------------------------------------------
 
+def _csv_number(path, reader, row, column) -> float:
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):  # TypeError: DictReader fills a short row with None
+        raise ValidationError(f"{path}: line {reader.line_num}: column {column!r} "
+                              f"holds {row[column]!r}, not a number") from None
+
+
 def _cmd_plot(args):
     started = _utcnow()
     with open(args.infile, encoding="ascii", newline="") as fh:
@@ -266,7 +274,8 @@ def _cmd_plot(args):
             raise ValidationError(
                 f"columns {args.x!r}/{args.y!r} not found in {args.infile}"
             )
-        points = [(float(row[args.x]), float(row[args.y])) for row in reader]
+        points = [(_csv_number(args.infile, reader, row, args.x),
+                   _csv_number(args.infile, reader, row, args.y)) for row in reader]
     svg = render_scatter(points, args.x, args.y, args.loglog)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(svg)
@@ -400,7 +409,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,15 +59,13 @@ class PartialSteinerSystem:
         return self._array
 
 
-def _check_block_shapes(blocks, k, n):
-    for idx, b in enumerate(blocks):
-        b = tuple(b)
-        if len(b) != k:
-            raise ValidationError(f"block {idx} has size {len(b)}, expected {k}")
-        if any(x < 0 or x >= n for x in b):
-            raise ValidationError(f"block {idx} has an index outside [0, {n - 1}]: {b}")
-        if any(b[i] >= b[i + 1] for i in range(k - 1)):
-            raise ValidationError(f"block {idx} is not strictly increasing: {b}")
+def _check_block(b: tuple, k: int, n: int, name: str):
+    if len(b) != k:
+        raise ValidationError(f"{name} has size {len(b)}, expected {k}")
+    if any(x < 0 or x >= n for x in b):
+        raise ValidationError(f"{name} has an index outside [0, {n - 1}]: {b}")
+    if any(b[i] >= b[i + 1] for i in range(k - 1)):
+        raise ValidationError(f"{name} is not strictly increasing: {b}")
 
 
 def verify_system(blocks, t: int, k: int, n: int):
@@ -79,7 +77,8 @@ def verify_system(blocks, t: int, k: int, n: int):
     of any of their common t-subsets.
     """
     blocks = [tuple(b) for b in blocks]
-    _check_block_shapes(blocks, k, n)
+    for idx, b in enumerate(blocks):
+        _check_block(b, k, n, f"block {idx}")
     seen = {}
     for idx, b in enumerate(blocks):
         for sub in combinations(b, t):
@@ -245,29 +244,29 @@ def construct(n: int, k: int, method: str, seed: int = 0) -> PartialSteinerSyste
     raise ValidationError(f"unknown construction method {method!r}")
 
 
-def packing_density_target(k: int, n: int, c: float = 1.0) -> float:
+def packing_density_target(k: int, n: int) -> float:
     """Reference cardinality (1 - loss(n)) * C(n, k-1)/k for near-optimal packings.
 
     The loss term is c * log^{3/2}(n) / n^{1/(k-1)} for k=3 and
-    c / n^{1/(k-1)} otherwise.  The constant c is not pinned by theory;
-    the value is reported for orientation only and never asserted as an
-    achievable target.
+    c / n^{1/(k-1)} otherwise, with c = 1.  The constant c is not pinned by
+    theory; the value is reported for orientation only and never asserted as
+    an achievable target.
     """
     lead = comb(n, k - 1) / k
     if k == 3:
-        loss = c * log(n) ** 1.5 / n ** 0.5
+        loss = log(n) ** 1.5 / n ** 0.5
     else:
-        loss = c / n ** (1.0 / (k - 1))
+        loss = 1.0 / n ** (1.0 / (k - 1))
     return lead * (1.0 - loss)
 
 
-def density_report(system: PartialSteinerSystem, c: float = 1.0) -> dict:
+def density_report(system: PartialSteinerSystem) -> dict:
     """Cardinality of a verified system against its combinatorial ceiling."""
     ceiling = comb(system.n, system.t) / comb(system.k, system.t)
     return {
         "cardinality": system.num_blocks,
         "ceiling": ceiling,
-        "psi_target": packing_density_target(system.k, system.n, c),
+        "psi_target": packing_density_target(system.k, system.n),
         "fill_ratio": system.num_blocks / ceiling,
     }
 
@@ -280,17 +279,35 @@ def save_system(system: PartialSteinerSystem, path):
             fh.write(" ".join(str(x) for x in b) + "\n")
 
 
-def load_system(path) -> PartialSteinerSystem:
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+def numbered_lines(path) -> list:
+    """(line number, tokens) of each nonblank line, from 1; a non-ASCII byte reads as U+FFFD."""
+    with open(path, encoding="ascii", errors="replace") as fh:
+        return [(num, ln.split()) for num, ln in enumerate(fh, start=1) if ln.strip()]
+
+
+def line_ints(path, num, tokens, count, expected: str) -> tuple:
+    """Integers of the tokens of line ``num`` of ``path``; a non-integer token, or a count
+    other than a non-None ``count``, raises "<path>: line <num>: expected <expected>"."""
+    try:
+        values = tuple(int(tok) for tok in tokens)
+    except ValueError:
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise ValidationError(f"{path}: line {num}: expected {expected}")
+    return values
+
+
+def parse_system(path, lines) -> PartialSteinerSystem:
+    """A system from the ``numbered_lines`` of its file: header ``n k t``, then the blocks."""
     if not lines:
         raise ValidationError(f"{path}: empty system file")
-    try:
-        n, k, t = (int(x) for x in lines[0].split())
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad header {lines[0]!r}") from exc
+    n, k, t = line_ints(path, *lines[0], 3, "three integers 'n k t'")
     blocks = []
-    for ln in lines[1:]:
-        blocks.append(tuple(int(x) for x in ln.split()))
-    _check_block_shapes(blocks, k, n)
+    for idx, (num, tokens) in enumerate(lines[1:]):
+        blocks.append(line_ints(path, num, tokens, None, "integer block indices"))
+        _check_block(blocks[-1], k, n, f"{path}: line {num}: block {idx}")
     return PartialSteinerSystem(n, k, t, tuple(blocks))
+
+
+def load_system(path) -> PartialSteinerSystem:
+    return parse_system(path, numbered_lines(path))

@@ -27,6 +27,8 @@ STEP_SHRINK = 0.5
 ORACLE_MAX_N = 7
 ORACLE_MIN_RESOLUTION = 16
 ORACLE_SAMPLES = 1_000_000
+# The absolute constant D of the probabilistic polydisk bound, taken at its ceiling.
+KSZ_CONSTANT = 8.0
 
 
 @dataclass
@@ -309,12 +311,12 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
                     int(iters[kept].sum()), seed)
 
 
-def recertify(p: SteinerPolynomial, est: NormEstimate, rel: float = 1e-10) -> bool:
-    """Independent check of both NormEstimate invariants."""
+def recertify(p: SteinerPolynomial, est: NormEstimate) -> bool:
+    """Independent check of both NormEstimate invariants, the value to a relative 1e-10."""
     if qnorm(est.witness, est.q) > 1.0 + 1e-12:
         return False
     value = abs(evaluate_compensated(p, est.witness))
-    return abs(value - est.value) <= rel * max(1.0, abs(est.value))
+    return abs(value - est.value) <= 1e-10 * max(1.0, abs(est.value))
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +436,14 @@ def brute_force_norm(p: SteinerPolynomial, q, resolution: int) -> NormEstimate:
 # Analytic formulas
 # ---------------------------------------------------------------------------
 
-def ksz_polydisk_bound(n: int, k: int, m: int, absolute_constant: float = 8.0) -> float:
+def ksz_polydisk_bound(n: int, k: int, m: int) -> float:
     """Probabilistic polydisk bound D * sqrt(n * ln(k) * m) for m-term random
-    unimodular polynomials; D defaults to the ceiling 8."""
+    unimodular polynomials, with D = KSZ_CONSTANT."""
     if n < 2 or k < 2:
         raise DomainError(f"need n, k >= 2, got n={n}, k={k}")
     if m < 0:
         raise DomainError(f"term count m={m} must be >= 0")
-    return absolute_constant * math.sqrt(n * log(k) * m)
+    return KSZ_CONSTANT * math.sqrt(n * log(k) * m)
 
 
 def polarization_constant(k: int, q) -> float:
@@ -460,39 +462,37 @@ def polarization_constant(k: int, q) -> float:
     return float(k ** k) / factorial(k)
 
 
-def analytic_bounds(k: int, q, n: int, K: float = 1.0, M: float = 2.0,
-                    absolute_constant: float = 8.0) -> BoundSet:
+def analytic_bounds(k: int, q, n: int) -> BoundSet:
     """All analytic reference bounds for degree-k Steiner unimodular
     polynomials in n variables at exponent q.
 
-    qnorm_upper interpolates between the l_2 bound M k K ln^{3/2} n and the
-    polydisk bound, using the tight coefficient (M k K)^{2/q} * (D lam_inf
-    sqrt(ln k)/sqrt(k!))^{(q-2)/q} for q >= 2, so at q = 2 it reduces exactly
-    to ell2_upper.  For 1 <= q < 2 it interpolates between the l_1 and l_2
-    bounds.  l1_upper = 1/k! is reported separately as the sharper q = 1
-    ceiling.  All logs are natural.
+    qnorm_upper interpolates between the l_2 bound M k K ln^{3/2} n (taken
+    with M = 2, K = 1) and the polydisk bound, using the tight coefficient
+    (M k K)^{2/q} * (D lam_inf sqrt(ln k)/sqrt(k!))^{(q-2)/q} for q >= 2,
+    with D = KSZ_CONSTANT, so at q = 2 it reduces exactly to ell2_upper.
+    For 1 <= q < 2 it interpolates between the l_1 and l_2 bounds.
+    l1_upper = 1/k! is reported separately as the sharper q = 1 ceiling.
+    All logs are natural.
     """
     _check_q(q)
     if k < 2 or n < 2:
         raise DomainError(f"need k >= 2 and n >= 2, got k={k}, n={n}")
-    if K <= 0 or M <= 1:
-        raise DomainError(f"need K > 0 and M > 1, got K={K}, M={M}")
-    D = absolute_constant
+    mkk = 2.0 * k  # M k K
     fact = factorial(k)
     lam_inf = polarization_constant(k, inf)
-    ell2_upper = M * k * K * log(n) ** 1.5
+    ell2_upper = mkk * log(n) ** 1.5
     l1_upper = 1.0 / fact
-    polydisk_coeff = D * lam_inf * math.sqrt(log(k)) / math.sqrt(fact)
+    polydisk_coeff = KSZ_CONSTANT * lam_inf * math.sqrt(log(k)) / math.sqrt(fact)
     if q == inf:
         qnorm_upper = polydisk_coeff * n ** (k / 2.0)
     elif q >= 2:
-        qnorm_upper = ((M * k * K) ** (2.0 / q)
+        qnorm_upper = (mkk ** (2.0 / q)
                        * polydisk_coeff ** ((q - 2.0) / q)
                        * log(n) ** (3.0 / q)
                        * n ** ((k / 2.0) * (q - 2.0) / q))
     else:
         qnorm_upper = ((k ** k / fact ** 2) ** ((2.0 - q) / q)
-                       * (M * k * K * log(n) ** 1.5) ** ((2.0 * q - 2.0) / q))
-    ksz_infty = absolute_constant * math.sqrt(log(k) * comb(n, k - 1) * n / k)
+                       * (mkk * log(n) ** 1.5) ** ((2.0 * q - 2.0) / q))
+    ksz_infty = KSZ_CONSTANT * math.sqrt(log(k) * comb(n, k - 1) * n / k)
     return BoundSet(ksz_infty, qnorm_upper, l1_upper, ell2_upper,
                     polarization_constant(k, q))

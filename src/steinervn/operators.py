@@ -23,6 +23,7 @@ its per-grade blocks.  No norm in this module is iterated numerically.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import comb, inf
@@ -30,8 +31,10 @@ from math import comb, inf
 import numpy as np
 from scipy import sparse
 
+from .designs import line_ints, numbered_lines
 from .errors import DomainError, ValidationError
-from .polynomials import Budgets, SteinerPolynomial
+from .polynomials import (Budgets, SteinerPolynomial, load_polynomial,
+                          save_polynomial)
 from .seeding import rng_for
 
 # Entry-magnitude budget before a product could overflow int64; checked_matmul
@@ -407,10 +410,6 @@ def save_tuple(t: OperatorTuple, directory):
     scale = scale_num * n^(-scale_den_exponent).  Entry lines: l row col value,
     each operator's entries sorted by column then row.
     """
-    import os
-
-    from .polynomials import save_polynomial
-
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "operators.txt"), "w", encoding="ascii") as fh:
         fh.write(f"{t.dim} {t.n} {t.k} {t.scale!r} 0.0\n")
@@ -423,14 +422,9 @@ def save_tuple(t: OperatorTuple, directory):
 
 
 def load_tuple(directory) -> OperatorTuple:
-    import os
-
-    from .polynomials import load_polynomial
-
     poly = load_polynomial(os.path.join(directory, "polynomial.txt"))
     path = os.path.join(directory, "operators.txt")
-    with open(path, encoding="ascii") as fh:
-        lines = [(num, ln.split()) for num, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = numbered_lines(path)
     if not lines:
         raise ValidationError(f"{path}: empty operator file")
     try:
@@ -444,11 +438,7 @@ def load_tuple(directory) -> OperatorTuple:
         raise ValidationError(f"{path}: header dim {dim} != basis dim {basis.dim}")
     triples = [[] for _ in range(n)]
     for num, tokens in lines[1:]:
-        try:
-            l, row, col, value = (int(x) for x in tokens)
-        except ValueError as exc:  # a non-integer token, or not exactly four of them
-            raise ValidationError(f"{path}: line {num}: expected four integers "
-                                  f"'l row col value'") from exc
+        l, row, col, value = line_ints(path, num, tokens, 4, "four integers 'l row col value'")
         if not 0 <= l < n:
             raise ValidationError(f"{path}: line {num}: operator index {l} outside [0, {n})")
         if not (0 <= row < dim and 0 <= col < dim):

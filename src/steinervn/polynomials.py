@@ -12,14 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import PartialSteinerSystem
+from .designs import (PartialSteinerSystem, line_ints, numbered_lines, parse_system,
+                      save_system)
 from .errors import DomainError, ValidationError
 from .seeding import derive_seed, rng_for
-
-# Switch to compensated summation above this many terms; cancellation near
-# optimizer convergence is what matters, plain pairwise summation is fine
-# for small supports.
-COMPENSATED_THRESHOLD = 10**4
 
 # Most monomials one kernel pass holds: batched rows are processed in tiles
 # of this many monomials (a k-th of it in value_and_partials, which keeps k
@@ -181,11 +177,7 @@ def value_and_partials(p: SteinerPolynomial, z) -> tuple:
             for pos in range(k):
                 w = (signs * others[pos]).view(np.float64).reshape(-1)
                 out += np.bincount(bins[pos].reshape(-1), weights=w, minlength=out.size)
-            terms = signs * prefix[k - 1]
-            if m > COMPENSATED_THRESHOLD:
-                values[rows] = [complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms]
-            else:
-                values[rows] = terms.sum(axis=1)
+            values[rows] = (signs * prefix[k - 1]).sum(axis=1)
     if single:
         return complex(values[0]), partials[0]
     return values, partials
@@ -268,30 +260,19 @@ def relabel(p: SteinerPolynomial, perm) -> SteinerPolynomial:
 
 def save_polynomial(p: SteinerPolynomial, path):
     """System file format plus a final line of +1/-1 signs."""
-    from .designs import save_system
-
     save_system(p.system, path)
     with open(path, "a", encoding="ascii") as fh:
         fh.write(" ".join("+1" if s > 0 else "-1" for s in p.signs) + "\n")
 
 
 def load_polynomial(path) -> SteinerPolynomial:
-    from .designs import PartialSteinerSystem as PSS
-    from .designs import _check_block_shapes
-
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = numbered_lines(path)
     if len(lines) < 2:
         raise ValidationError(f"{path}: polynomial file needs a header and a sign line")
-    n, k, t = (int(x) for x in lines[0].split())
-    blocks = [tuple(int(x) for x in ln.split()) for ln in lines[1:-1]]
-    _check_block_shapes(blocks, k, n)
-    try:
-        signs = np.array([int(tok) for tok in lines[-1].split()], dtype=np.int8)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad sign line") from exc
-    if len(blocks) != signs.size:
-        raise ValidationError(
-            f"{path}: {len(blocks)} blocks but {signs.size} signs"
-        )
-    return SteinerPolynomial(PSS(n, k, t, tuple(blocks)), signs)
+    system = parse_system(path, lines[:-1])
+    num, tokens = lines[-1]
+    expected = f"{system.num_blocks} signs, each +1 or -1"
+    signs = line_ints(path, num, tokens, system.num_blocks, expected)
+    if any(s not in (1, -1) for s in signs):
+        raise ValidationError(f"{path}: line {num}: expected {expected}")
+    return SteinerPolynomial(system, np.array(signs, dtype=np.int8))

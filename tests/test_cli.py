@@ -3,10 +3,22 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from steinervn.cli import _budgets_from, build_parser, main
 from steinervn.defect import Budgets, RatioRecord, fit_exponent
+from steinervn.designs import skolem_construct
+from steinervn.polynomials import SteinerPolynomial, save_polynomial
+
+
+def assert_line_error(code, stdout, stderr, name, where, message):
+    """The command failed on line ``where`` of file ``name`` with the package's error."""
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert f"{name}: line {where}: " in stderr
+    assert message in stderr
 
 
 def run(capsys, *argv):
@@ -163,6 +175,57 @@ def test_op_check_rejects_bad_line(tmp_path, capsys, entry, message):
     assert message.format(dim=dim) in stderr
 
 
+@pytest.mark.parametrize("lines, where, message", [
+    (["7 3 2", "0 1 x"], 2, "expected integer block indices"),
+    (["7 3 2", "", "0 1 x"], 3, "expected integer block indices"),
+    (["7 3", "0 1 2"], 1, "expected three integers 'n k t'"),
+    (["7 3 2", "0 1 2", "0 1"], 3, "block 1 has size 2, expected 3"),
+    (["7 3 2", "0 1 7"], 2, "block 0 has an index outside [0, 6]"),
+    (["7 3 2", "0 1 2", "2 1 3"], 3, "block 1 is not strictly increasing"),
+])
+def test_design_verify_rejects_bad_line(tmp_path, capsys, lines, where, message):
+    path = tmp_path / "sys.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run(capsys, "design", "verify", "--in", str(path))
+    assert_line_error(code, stdout, stderr, "sys.txt", where, message)
+
+
+@pytest.mark.parametrize("index, text, message", [
+    (0, "7 3", "expected three integers 'n k t'"),
+    (1, "0 3 x", "expected integer block indices"),
+    (1, "0 3 1", "block 0 is not strictly increasing"),
+    (-1, "+1 x", "expected 7 signs, each +1 or -1"),
+    (-1, "+1 +1 +1 +1 +1 +1", "expected 7 signs, each +1 or -1"),
+    (-1, "+1 +1 +1 +1 +1 +1 2", "expected 7 signs, each +1 or -1"),
+    (-1, "+1 +1 +1 +1 +1 +1 \u22121", "expected 7 signs, each +1 or -1"),  # a minus sign
+])
+def test_op_build_rejects_bad_polynomial_line(tmp_path, capsys, index, text, message):
+    path = tmp_path / "poly.txt"
+    save_polynomial(SteinerPolynomial(skolem_construct(7), np.ones(7)), path)
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stdout, stderr = run(capsys, "op", "build", "--poly", str(path),
+                               "--out", str(tmp_path / "ops"))
+    assert_line_error(code, stdout, stderr, "poly.txt", index % len(lines) + 1, message)
+
+
+def test_design_verify_on_a_directory_exits_one(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "design", "verify", "--in", str(tmp_path))
+    assert code == 1
+    assert stdout == "" and stderr.startswith("error: ")
+
+
+def test_op_check_rejects_bad_polynomial_line(tmp_path, capsys):
+    path = built_tuple(tmp_path, capsys) / "polynomial.txt"
+    lines = path.read_text().splitlines()
+    lines[2] = "0 1 x"
+    path.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run(capsys, "op", "check", "--in", str(path.parent))
+    assert_line_error(code, stdout, stderr, "polynomial.txt", 3,
+                      "expected integer block indices")
+
+
 @pytest.mark.parametrize("row, message", [
     ("3,inf,inf,7", "line 3: expected 15 cells"),
     ("3,inf,inf,7,0,7,1.0,synthetic,2.0,2.0,2.0,1.0,1.0,0,1,9", "line 3: expected 15 cells"),
@@ -259,6 +322,16 @@ def test_plot_missing_column_fails(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", "--in", str(path), "--x", "nope", "--y", "ratio",
                      "--out", str(tmp_path / "p.svg"))
     assert code == 1
+
+
+def test_plot_non_numeric_column_fails(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    write_power_law_csv(path)
+    code, stdout, stderr = run(capsys, "plot", "--in", str(path), "--x", "n",
+                               "--y", "norm_method", "--out", str(tmp_path / "p.svg"))
+    assert_line_error(code, stdout, stderr, "sweep.csv", 2,
+                      "column 'norm_method' holds 'synthetic', not a number")
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_plot_deterministic_bytes(tmp_path, capsys):

@@ -383,10 +383,6 @@ def test_bounds_domain_errors():
         analytic_bounds(3, 0.5, 10)
     with pytest.raises(DomainError):
         analytic_bounds(1, 2.0, 10)
-    with pytest.raises(DomainError):
-        analytic_bounds(3, 2.0, 10, K=0.0)
-    with pytest.raises(DomainError):
-        analytic_bounds(3, 2.0, 10, M=1.0)
 
 
 def test_bounds_all_finite_nonnegative():
