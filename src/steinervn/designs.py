@@ -302,6 +302,8 @@ def parse_system(path, lines) -> PartialSteinerSystem:
     if not lines:
         raise ValidationError(f"{path}: empty system file")
     n, k, t = line_ints(path, *lines[0], 3, "three integers 'n k t'")
+    if not 1 <= t < k:
+        raise ValidationError(f"{path}: line {lines[0][0]}: need 1 <= t < k, got t={t}, k={k}")
     blocks = []
     for idx, (num, tokens) in enumerate(lines[1:]):
         blocks.append(line_ints(path, num, tokens, None, "integer block indices"))

@@ -17,9 +17,11 @@ must normalize (see contraction_normalize).
 
 The grade of a basis vector is m for e-levels of size m, k-1 for the f-layer
 and k for g.  Every T_l raises the grade by exactly one and has at most one
-nonzero per column, so the norms have closed forms: ||T_l|| is its largest
-row norm, p(T) = |S| g e^T, and ||sum_j alpha_j T_j|| is the largest norm of
-its per-grade blocks.  No norm in this module is iterated numerically.
+nonzero per column, so ||T_l|| is its largest row norm and p(T) = |S| g e^T
+in closed form.  ||sum_j alpha_j T_j|| is the largest norm of its per-grade
+blocks: a block with one row or one column is a vector with a closed-form
+norm, and every other block is the one norm here that is iterated, by
+warm-started power steps whose value ||M* u|| at a unit u is a lower bound.
 """
 
 import math
@@ -40,6 +42,10 @@ from .seeding import rng_for
 # Entry-magnitude budget before a product could overflow int64; checked_matmul
 # raises OverflowError for any product whose bound reaches it.
 _OVERFLOW_GUARD = 1 << 62
+
+# Cap on the power steps linear_combination_sup spends on one block per
+# alternation step; warm-started blocks settle in far fewer.
+_POWER_STEPS = 1000
 
 
 @dataclass
@@ -335,12 +341,18 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
     diagonal and ||M(alpha)|| is the largest norm among the dense blocks that
     map grade m to grade m+1 (for k = 3: max(||alpha||_2, ||A(alpha)||) with
     A(alpha) the n x n middle block).  Alternating maximization: for fixed
-    alpha the top singular pair (u, v) of the winning block comes from a dense
-    SVD; for fixed (u, v) the optimal alpha aligns with s_j = <u, T_j v> by
-    Hoelder equality.  Each half-step is nondecreasing in the bilinear value,
-    and the reported value is the spectral norm at the best alpha (a certified
-    lower bound of the sup).  Deterministic per seed; the tuple's scale
-    multiplies the result.
+    alpha every block gets a unit pair (u, v), and the block with the largest
+    sigma = ||M_m* u|| wins; for fixed (u, v) the optimal alpha aligns with
+    s_j = <u, T_j v> by Hoelder equality.  A block with one row or one column
+    is a vector, and its norm and direction are taken in closed form (for
+    k = 3 the two outer blocks, of norm ||alpha||_2).  Every other block takes
+    power steps u <- M v / ||M v||, v <- M* u / ||M* u||, warm-started from its
+    v of the previous alternation step, until sigma stops rising in floating
+    point or _POWER_STEPS steps are spent.  The reported value is the
+    largest sigma seen; each is ||M(alpha)* u|| for an explicit unit u, so it
+    is a lower bound of ||M(alpha)|| and of the sup (up to rounding) without
+    any LAPACK call.  Deterministic per seed; the tuple's scale multiplies
+    the result.
     """
     if not (1 < q < inf):
         raise DomainError(f"need 1 < q < inf, got q={q}")
@@ -356,20 +368,49 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
     col_grade = np.searchsorted(bounds, cols, side="right") - 1
     if np.any(np.searchsorted(bounds, rows, side="right") - 1 != col_grade + 1):
         raise ValidationError("an operator entry does not raise the grade by one")
-    blocks = []  # per grade m: (shape, local rows, local cols, data, operator index)
+    blocks = []  # per grade m: (shape, flat index, local rows, local cols, data, operator index)
     for m in range(t.k):
         sel = col_grade == m
         shape = (bounds[m + 2] - bounds[m + 1], bounds[m + 1] - bounds[m])
-        blocks.append((shape, rows[sel] - bounds[m + 1], cols[sel] - bounds[m],
-                       data[sel], opidx[sel]))
+        r, c = rows[sel] - bounds[m + 1], cols[sel] - bounds[m]
+        blocks.append((shape, r * shape[1] + c, r, c, data[sel], opidx[sel]))
 
-    def top_triple(alpha):
+    def top_pair(mat, v):
+        """(sigma, u, v) with unit u, v and sigma = ||mat* u||, from warm start v or None."""
+        if min(mat.shape) == 1:  # a vector: the pair in closed form
+            vec = mat.ravel()
+            sigma = float(np.linalg.norm(vec))
+            unit = vec / sigma if sigma else np.eye(vec.size, 1).ravel()
+            if mat.shape[1] == 1:
+                return sigma, unit, np.ones(1)
+            return sigma, np.ones(1), np.conj(unit)
+        if v is None:  # start from the conjugate of the largest row
+            v = np.conj(mat[np.argmax(np.linalg.norm(mat, axis=1))])
+        adjoint = mat.conj().T
+        sigma = -1.0
+        for _ in range(_POWER_STEPS):
+            u = mat @ v
+            scale = np.linalg.norm(u)
+            if scale == 0.0:  # a zero block, or a warm start in the kernel
+                return 0.0, np.eye(mat.shape[0], 1).ravel(), np.eye(mat.shape[1], 1).ravel()
+            u = u / scale
+            v = adjoint @ u
+            previous, sigma = sigma, float(np.linalg.norm(v))
+            v = v / sigma
+            if sigma <= previous:  # sigma rises monotonically until rounding stalls it
+                break
+        return sigma, u, v
+
+    def top_triple(alpha, warm):
         best_triple = None
-        for shape, r, c, d, j in blocks:
-            mat = sparse.coo_array((d * alpha[j], (r, c)), shape=shape).toarray()
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
-            if best_triple is None or s[0] > best_triple[0]:
-                best_triple = (s[0], u[:, 0], vh[0].conj(), (r, c, d, j))
+        for m, (shape, flat, r, c, d, j) in enumerate(blocks):
+            w = d * alpha[j]
+            size = shape[0] * shape[1]
+            mat = (np.bincount(flat, w.real, size)
+                   + 1j * np.bincount(flat, w.imag, size)).reshape(shape)
+            sigma, u, warm[m] = top_pair(mat, warm[m])
+            if best_triple is None or sigma > best_triple[0]:
+                best_triple = (sigma, u, warm[m], (r, c, d, j))
         return best_triple
 
     def hoelder_align(s):
@@ -386,8 +427,9 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
         denom = float(np.sum(np.abs(alpha) ** qp)) ** (1.0 / qp)
         alpha = alpha / denom
         sigma_prev = -1.0
+        warm = [None] * len(blocks)
         for _ in range(iters):
-            sigma, u, v, (r, c, d, j) = top_triple(alpha)
+            sigma, u, v, (r, c, d, j) = top_triple(alpha, warm)
             best = max(best, float(sigma))
             terms = np.conj(u[r]) * d * v[c]
             svec = (np.bincount(j, weights=terms.real, minlength=t.n)

@@ -182,12 +182,15 @@ def test_op_check_rejects_bad_line(tmp_path, capsys, entry, message):
     (["7 3 2", "0 1 2", "0 1"], 3, "block 1 has size 2, expected 3"),
     (["7 3 2", "0 1 7"], 2, "block 0 has an index outside [0, 6]"),
     (["7 3 2", "0 1 2", "2 1 3"], 3, "block 1 is not strictly increasing"),
+    (["7 3 3", "0 1 2"], 1, "need 1 <= t < k, got t=3, k=3"),
+    (["", "7 3 0", "0 1 2"], 2, "need 1 <= t < k, got t=0, k=3"),
 ])
 def test_design_verify_rejects_bad_line(tmp_path, capsys, lines, where, message):
     path = tmp_path / "sys.txt"
     path.write_text("\n".join(lines) + "\n")
     code, stdout, stderr = run(capsys, "design", "verify", "--in", str(path))
     assert_line_error(code, stdout, stderr, "sys.txt", where, message)
+    assert stderr.startswith(f"error: {path}: line {where}: ")
 
 
 @pytest.mark.parametrize("index, text, message", [

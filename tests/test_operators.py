@@ -315,6 +315,15 @@ def test_lincomb_degenerate_single_shift():
     assert abs(sup - 1.0) <= 1e-9
 
 
+def test_lincomb_zero_middle_block():
+    # no blocks: the n x n middle block is zero and the outer blocks give ||alpha||_2
+    _, t = empty_tuple(4)
+    for q in (2.0, 3.0):
+        with np.errstate(divide="raise", invalid="raise"):
+            sup = linear_combination_sup(t, q, starts=2, iters=10, seed=0)
+        assert abs(sup - 1.0) <= 1e-9
+
+
 def test_lincomb_unscaled_at_least_one():
     _, t = sts_tuple(7)
     sup = linear_combination_sup(t, 2.0, starts=4, iters=30, seed=0)
@@ -370,6 +379,18 @@ def test_lincomb_matches_dense_alternation():
             value = linear_combination_sup(t, q, starts=4, iters=30, seed=5)
             reference = dense_lincomb(t, q, starts=4, iters=30, seed=5)
             assert abs(value - reference) <= 1e-9 * reference
+
+
+def test_lincomb_power_steps_match_dense_alternation_on_packings():
+    # (n, 4) packings have several blocks that are neither rows nor columns,
+    # so the top pair comes from power steps and the blocks compete for the top
+    for n in (8, 10, 12):
+        _, t = greedy_tuple(n, 4)
+        t = t.with_scale(0.8)
+        for q in (2.0, 3.0):
+            value = linear_combination_sup(t, q, starts=4, iters=30, seed=5)
+            reference = dense_lincomb(t, q, starts=4, iters=30, seed=5)
+            assert abs(value - reference) <= 1e-7 * reference
 
 
 def test_lincomb_rejects_endpoints():
