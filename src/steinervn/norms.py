@@ -88,7 +88,8 @@ def _align_burnin(p, z, q):
     one alternating-maximization step on the symmetric multilinear form; it
     is a heuristic initializer only, so the best point each row has seen is
     returned and certification happens downstream.  A row whose partials
-    vanish stays where it is.  Degenerate for q = 1 (the linearized optimum
+    vanish, or whose aligned point has a q-norm below the smallest normal
+    float, stays where it is.  Degenerate for q = 1 (the linearized optimum
     is a single coordinate), so callers skip it there.
     """
     best_f, best_z = np.full(len(z), -1.0), z.copy()
@@ -108,7 +109,9 @@ def _align_burnin(p, z, q):
             z_new = w * np.maximum(mods, 1e-300) ** (qp - 2.0)
             z_new[mods == 0.0] = 0.0
             nrm = qnorm(z_new, q)[:, None]
-            z = np.where(nrm != 0.0, z_new / np.where(nrm != 0.0, nrm, 1.0), z)
+            # dividing by a zero, subnormal or NaN norm gives inf or NaN: keep the row
+            usable = nrm >= np.finfo(np.float64).tiny
+            z = np.where(usable, z_new / np.where(usable, nrm, 1.0), z)
     return best_z
 
 

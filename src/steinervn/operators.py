@@ -4,10 +4,12 @@ The Hilbert space has an orthonormal basis organized as a shift tower:
 a source vector e = e(), intermediate vectors e(j_1,...,j_m) indexed by
 nondecreasing multisets of size m <= k-2, one vector f_i per variable, and a
 sink g.  The operator T_l shifts e-levels up by appending l, maps the top
-e-level into the f-layer using the polynomial's signed block structure, maps
-f_l to g, and kills g.  All matrices are exact integer sparse matrices;
-structural checks (commutation, Gram products, the evaluation identity) are
-carried out in integer arithmetic with no rounding.
+e-level into the f-layer along the blocks (written in one pass over the
+blocks, whose packing property designs.verify checks once; unsorted,
+duplicate or overlapping blocks raise ValidationError), maps f_l to g, and
+kills g.  All matrices are exact integer sparse matrices; structural checks
+(commutation, Gram products, the evaluation identity) are carried out in
+integer arithmetic with no rounding.
 
 For triple systems (k = 3) each T_l has exactly one nonzero per column and
 no two columns share a row, which certifies the operator norm 1 through the
@@ -16,24 +18,25 @@ off-diagonals and operator norms above 1; callers that need contractions
 must normalize (see contraction_normalize).
 
 The grade of a basis vector is m for e-levels of size m, k-1 for the f-layer
-and k for g.  Every T_l raises the grade by exactly one and has at most one
-nonzero per column, so ||T_l|| is its largest row norm and p(T) = |S| g e^T
-in closed form.  ||sum_j alpha_j T_j|| is the largest norm of its per-grade
-blocks: a block with one row or one column is a vector with a closed-form
-norm, and every other block is the one norm here that is iterated, by
-warm-started power steps whose value ||M* u|| at a unit u is a lower bound.
+and k for g; HilbertBasis.offsets holds where each grade starts.  Every T_l
+raises the grade by exactly one and has at most one nonzero per column, so
+||T_l|| is its largest row norm and p(T) = |S| g e^T in closed form.
+||sum_j alpha_j T_j|| is the largest norm of its per-grade blocks: a block
+with one row or one column is a vector with a closed-form norm, and every
+other block is the one norm here that is iterated, by warm-started power
+steps whose value ||M* u|| at a unit u is a lower bound.
 """
 
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb, inf
 
 import numpy as np
 from scipy import sparse
 
-from .designs import line_ints, numbered_lines
+from .designs import line_ints, numbered_lines, verify
 from .errors import DomainError, ValidationError
 from .polynomials import (Budgets, SteinerPolynomial, load_polynomial,
                           save_polynomial)
@@ -50,12 +53,18 @@ _POWER_STEPS = 1000
 
 @dataclass
 class HilbertBasis:
-    """Canonical enumeration: e, e-levels by (size, lex), f_0..f_{n-1}, g."""
+    """Canonical enumeration: e, e-levels by (size, lex), f_0..f_{n-1}, g.
+
+    Grade g runs over indices offsets[g] to offsets[g+1] - 1: grade m < k-1 is
+    the e-level of size m, grade k-1 the f-layer, grade k the sink g, and
+    offsets[k+1] is dim.
+    """
 
     n: int
     k: int
     vectors: list
     index: dict
+    offsets: tuple
 
     @property
     def dim(self) -> int:
@@ -80,20 +89,17 @@ def build_basis(n: int, k: int) -> HilbertBasis:
         raise DomainError(f"operator construction is defined for k >= 3, got k={k}")
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
-    vectors = []
-    for m in range(k - 1):
-        for idx in combinations_with_replacement(range(n), m):
-            vectors.append(("e", idx))
-    vectors.extend(("f", i) for i in range(n))
-    vectors.append(("g",))
-    expected = sum(comb(n + m - 1, m) for m in range(k - 1)) + n + 1
-    assert len(vectors) == expected
-    return HilbertBasis(n, k, vectors, {v: i for i, v in enumerate(vectors)})
+    vectors = [("e", idx) for m in range(k - 1)
+               for idx in combinations_with_replacement(range(n), m)]
+    vectors += [("f", i) for i in range(n)] + [("g",)]
+    offsets = tuple(accumulate([comb(n + m - 1, m) for m in range(k - 1)] + [n, 1], initial=0))
+    assert len(vectors) == offsets[-1]
+    return HilbertBasis(n, k, vectors, {v: i for i, v in enumerate(vectors)}, offsets)
 
 
-def _from_triples(dim, triples) -> sparse.csc_array:
-    """int64 dim x dim matrix from (row, col, value) triples; duplicates add."""
-    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+def _from_triples(dim, flat) -> sparse.csc_array:
+    """int64 dim x dim matrix from a flat list row, col, value, row, ...; duplicates add."""
+    rows, cols, vals = np.array(flat, dtype=np.int64).reshape(-1, 3).T
     mat = sparse.csc_array((vals, (rows, cols)), shape=(dim, dim))
     mat.sum_duplicates()
     return mat
@@ -131,47 +137,36 @@ class OperatorTuple:
 def build_operators(p: SteinerPolynomial) -> OperatorTuple:
     """Operator tuple whose joint action encodes the polynomial's blocks.
 
-    For each l:  T_l e(J) = e(sorted(J + l)) while |J| < k-2;  on the top
-    level T_l e(J) = sign(B) f_i whenever J + l + i forms a block B (at most
-    one i exists because the (k-1)-subsets of blocks never repeat);
-    T_l f_i = delta_{li} g;  T_l g = 0.  Entries are all +-1.
+    For each l:  T_l e(J) = e(sorted(J + l)) while |J| < k-2;  T_l f_i =
+    delta_{li} g;  T_l g = 0.  The top e-level is written in one pass over the
+    blocks: for a block B with sign s and each ordered pair l != i in B,
+    T_l e(B - {l, i}) = s f_i.  Entries are all +-1.  The blocks are checked
+    once, by designs.verify: an unsorted, duplicate or out-of-range block, or
+    two blocks sharing a (k-1)-set, raises ValidationError, so every top
+    e(J) of every T_l has at most one image.
     """
     system = p.system
     if system.t != system.k - 1:
         raise ValidationError(f"need t = k-1, got t={system.t}, k={system.k}")
+    ok, clash = verify(system)
+    if not ok:
+        raise ValidationError(f"blocks {clash.first_block} and {clash.second_block} "
+                              f"share the (k-1)-set {clash.t_subset}")
     basis = build_basis(system.n, system.k)
     n, k = system.n, system.k
 
-    # (k-1)-subset -> (completing element, sign); uniqueness is the Steiner property
-    completion = {}
-    for b_idx, block in enumerate(system.blocks):
-        sign = int(p.signs[b_idx])
-        for pos in range(k):
-            sub = block[:pos] + block[pos + 1:]
-            if sub in completion:
-                raise ValidationError(
-                    f"blocks {completion[sub][2]} and {b_idx} share the (k-1)-set {sub}"
-                )
-            completion[sub] = (block[pos], sign, b_idx)
-
-    ops = []
+    flat = [[] for _ in range(n)]  # per l: row, col, value, row, ...
     for l in range(n):
-        triples = []
         for m in range(k - 2):
             for idx in combinations_with_replacement(range(n), m):
-                triples.append((basis.index[("e", tuple(sorted(idx + (l,))))],
-                                basis.index[("e", idx)], 1))
-        for idx in combinations_with_replacement(range(n), k - 2):
-            if l in idx or len(set(idx)) != len(idx):
-                continue  # repeated index: no block is a multiset
-            key = tuple(sorted(idx + (l,)))
-            hit = completion.get(key)
-            if hit is not None:
-                i, sign, _ = hit
-                triples.append((basis.index[("f", i)], basis.index[("e", idx)], sign))
-        triples.append((basis.g_index(), basis.index[("f", l)], 1))
-        ops.append(_from_triples(basis.dim, triples))
-    return OperatorTuple(basis, ops, p)
+                flat[l] += (basis.index[("e", tuple(sorted(idx + (l,))))],
+                            basis.index[("e", idx)], 1)
+        flat[l] += (basis.g_index(), basis.index[("f", l)], 1)
+    for block, sign in zip(system.blocks, p.signs.tolist()):
+        for l, i in permutations(block, 2):
+            rest = tuple(x for x in block if x != l and x != i)
+            flat[l] += (basis.index[("f", i)], basis.index[("e", rest)], sign)
+    return OperatorTuple(basis, [_from_triples(basis.dim, entries) for entries in flat], p)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +352,7 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
     if not (1 < q < inf):
         raise DomainError(f"need 1 < q < inf, got q={q}")
     qp = q / (q - 1.0)
-    grades = [len(v[1]) if v[0] == "e" else (t.k - 1 if v[0] == "f" else t.k)
-              for v in t.basis.vectors]
-    bounds = np.searchsorted(grades, np.arange(t.k + 2))
+    bounds = np.array(t.basis.offsets)
     coos = [op.tocoo() for op in t.ops]
     rows = np.concatenate([c.row for c in coos])
     cols = np.concatenate([c.col for c in coos])
@@ -478,7 +471,7 @@ def load_tuple(directory) -> OperatorTuple:
     basis = build_basis(n, k)
     if basis.dim != dim:
         raise ValidationError(f"{path}: header dim {dim} != basis dim {basis.dim}")
-    triples = [[] for _ in range(n)]
+    flat = [[] for _ in range(n)]
     for num, tokens in lines[1:]:
         l, row, col, value = line_ints(path, num, tokens, 4, "four integers 'l row col value'")
         if not 0 <= l < n:
@@ -486,6 +479,6 @@ def load_tuple(directory) -> OperatorTuple:
         if not (0 <= row < dim and 0 <= col < dim):
             raise ValidationError(f"{path}: line {num}: entry ({row}, {col}) outside "
                                   f"[0, {dim}) x [0, {dim})")
-        triples[l].append((row, col, value))
-    return OperatorTuple(basis, [_from_triples(dim, entries) for entries in triples],
+        flat[l] += (row, col, value)
+    return OperatorTuple(basis, [_from_triples(dim, entries) for entries in flat],
                          poly, scale)

@@ -160,6 +160,14 @@ def test_estimate_matches_pinned_single_start_ascent(poly, q, value, iterations,
     assert np.abs(est.witness - np.array(witness)).max() <= 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_burnin_below_q2_keeps_rows_whose_norm_underflows():
+    # At q = 1.5 on this packing every start's |p| falls to 0 within the alignment
+    # steps, and the q-norm of an aligned point goes subnormal or NaN; dividing by
+    # it overflowed.  The pinned estimate must come out the same, without a warning.
+    test_estimate_matches_pinned_single_start_ascent(*PINNED_ESTIMATES[6])
+
+
 # estimate_norm at the default Budgets on STS(25) at q = inf and on STS(49) at
 # q = 2, two sign patterns each, pinned to the bit: (n, q, seed, value.hex(),
 # iterations, first 16 hex digits of the SHA-256 of the witness's bytes).  A

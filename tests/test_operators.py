@@ -1,5 +1,6 @@
 import math
 from functools import reduce
+from itertools import permutations
 from math import comb, inf
 
 import numpy as np
@@ -75,6 +76,14 @@ def test_basis_order():
     assert basis.vectors[-1] == ("g",)
 
 
+def test_basis_offsets_bound_the_grades():
+    basis = build_basis(5, 4)
+    assert basis.offsets == (0, 1, 6, 21, 26, 27)  # e, 5 e(j), 15 e(j, j'), 5 f, g
+    for grade in range(basis.k + 1):
+        for v in basis.vectors[basis.offsets[grade]:basis.offsets[grade + 1]]:
+            assert (len(v[1]) if v[0] == "e" else {"f": basis.k - 1, "g": basis.k}[v[0]]) == grade
+
+
 def test_basis_rejects_small_k():
     with pytest.raises(DomainError):
         build_basis(5, 2)
@@ -113,6 +122,16 @@ def test_misaligned_system_rejected():
     bad = PartialSteinerSystem(4, 3, 2, ((0, 1, 2), (0, 1, 3)))
     p = SteinerPolynomial(bad, np.array([1, 1]))
     with pytest.raises(ValidationError, match="share"):
+        build_operators(p)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((0, 1, 2), (3, 1, 0)), r"block 1 is not strictly increasing"),
+    (((0, 1, 2), (0, 1, 2)), r"^blocks 0 and 1 share the \(k-1\)-set \(\d, \d\)$"),
+])
+def test_unsorted_or_duplicate_blocks_rejected(blocks, message):
+    p = SteinerPolynomial(PartialSteinerSystem(4, 3, 2, blocks), np.array([1, 1]))
+    with pytest.raises(ValidationError, match=message):
         build_operators(p)
 
 
@@ -200,6 +219,22 @@ def test_operator_norm_k3_is_one():
 def test_operator_norm_k4_sqrt2():
     _, t = k4_anomaly_tuple()
     assert abs(operator_norm(t.ops[0]) - math.sqrt(2)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("n", range(10, 43, 4))
+def test_k4_operator_norm_squared_is_the_largest_pair_degree(n, seed):
+    # the f_i row of T_l holds one +-1 per block through {l, i}; every other row one entry
+    p, t = greedy_tuple(n, 4, seed)
+    pair_degree = np.zeros((n, n), dtype=np.int64)
+    for block in p.system.blocks:
+        for l, i in permutations(block, 2):
+            pair_degree[l, i] += 1
+    for l, op in enumerate(t.ops):
+        row_sq = op.multiply(op).sum(axis=1)
+        assert row_sq.dtype == np.int64
+        assert row_sq.max() == max(1, pair_degree[l].max())
+        assert operator_norm(op) == math.sqrt(row_sq.max())
 
 
 def test_operator_norm_zero():

@@ -2,7 +2,7 @@
 
 import dataclasses
 import tempfile
-from math import inf
+from math import factorial, inf, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +91,24 @@ def test_recertify_holds_for_random_q(system, data):
     p = signed(system, data)
     est = estimate_norm(p, q, starts=2, max_iters=30, seed=data.draw(st.integers(0, 2**31 - 1)))
     assert recertify(p, est)
+
+
+@PROPERTY
+@given(greedy_systems(), st.data())
+def test_estimate_below_the_l2_flattening_ceiling(system, data):
+    # In a t = k-1 system each (k-1)-tuple completes to at most one block, so the
+    # mode-1 flattening of p's symmetric tensor has one nonzero per column and its
+    # norm is its largest row norm, sqrt(r_max / (k k!)), with r_max the largest
+    # number of blocks through one point.  That bounds |p| on the unit l2 ball, and
+    # ||z||_2 <= n^(1/2 - 1/q) ||z||_q carries it to q >= 2.  The witness lies in
+    # the ball up to rounding, hence the 1e-12.
+    q = data.draw(st.sampled_from([2.0, 3.0]))
+    p = signed(system, data)
+    k, n = system.k, system.n
+    r_max = np.bincount(system.blocks_array().ravel(), minlength=n).max()
+    ceiling = sqrt(r_max / (k * factorial(k))) * n ** (k * (0.5 - 1.0 / q))
+    est = estimate_norm(p, q, starts=2, max_iters=60, seed=data.draw(st.integers(0, 2**31 - 1)))
+    assert est.value <= ceiling * (1 + 1e-12)
 
 
 @PROPERTY
