@@ -30,13 +30,13 @@ print("Gram diagonal 0/1:", all(r.is_diagonal_01 for r in reports))
 print("exact norms (largest row norm):", [operator_norm(op) for op in t.ops[:4]], "...")
 
 # The evaluation identity: applying the polynomial to e lands on |S| g.
-image = apply_polynomial(t, p, t.basis.e_vector())
+image = apply_polynomial(t, t.basis.e_vector())
 print("p(T)e coefficient on g:", image[t.basis.g_index()], "=", p.num_terms, "blocks")
-print("operator norm of p(T):", polynomial_operator_norm(t, p))
+print("operator norm of p(T):", polynomial_operator_norm(t))
 
 # The same norm after the admissibility rescaling T_j -> T_j / n^{1/2}
 scaled = t.with_scale(7 ** -0.5)
-print("norm after n^{-1/2} scaling:", polynomial_operator_norm(scaled, p))
+print("norm after n^{-1/2} scaling:", polynomial_operator_norm(scaled))
 
 # sup over unit alpha (l2) of ||sum_j alpha_j T_j||: for triple systems this
 # equals max(1, 6 ||p||_2) -- the middle layer realizes the full symmetric

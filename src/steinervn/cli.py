@@ -63,7 +63,7 @@ def _manifest_path(out_path: str) -> str:
     return out_path + ".manifest.json"
 
 
-def _write_manifest(out_path, args, started_at, master_seed=None, derived_seeds=None):
+def _write_manifest(args, started_at, master_seed=None, derived_seeds=None):
     manifest = {
         "command_line": args.command_line,
         "version": __version__,
@@ -75,7 +75,7 @@ def _write_manifest(out_path, args, started_at, master_seed=None, derived_seeds=
         "started_at": started_at,
         "finished_at": _utcnow(),
     }
-    with open(_manifest_path(out_path), "w", encoding="ascii") as fh:
+    with open(_manifest_path(args.out), "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -97,7 +97,7 @@ def _cmd_design_gen(args):
         raise ValidationError("--seed is required for the randomized greedy method")
     system = construct(args.n, args.k, args.method, args.seed or 0)
     save_system(system, args.out)
-    _write_manifest(args.out, args, started, master_seed=args.seed)
+    _write_manifest(args, started, master_seed=args.seed)
     _emit(args, {"n": system.n, "k": system.k, "t": system.t,
                  "num_blocks": system.num_blocks, "out": args.out},
           f"wrote {system.num_blocks} blocks to {args.out}")
@@ -149,7 +149,7 @@ def _cmd_poly_sample(args):
     poly, est = best_of_signs(system, args.q, args.rounds,
                               derive_seed(args.seed, "signs"), budgets)
     save_polynomial(poly, args.out)
-    _write_manifest(args.out, args, started, master_seed=args.seed,
+    _write_manifest(args, started, master_seed=args.seed,
                     derived_seeds={"signs": derive_seed(args.seed, "signs")})
     _emit(args, {"out": args.out, "num_terms": poly.num_terms,
                  "estimate": _estimate_payload(est)},
@@ -177,7 +177,7 @@ def _cmd_op_build(args):
     poly = load_polynomial(args.poly)
     tup = build_operators(poly)
     save_tuple(tup, args.out)
-    _write_manifest(args.out, args, started)
+    _write_manifest(args, started)
     _emit(args, {"out": args.out, "dim": tup.dim, "n": tup.n, "k": tup.k},
           f"wrote {tup.n} operators of dimension {tup.dim} to {args.out}")
     return 0
@@ -189,7 +189,7 @@ def _cmd_op_check(args):
     comm = check_commuting(tup)
     grams = gram_diagonal_check(tup)
     norms = [operator_norm(op) for op in tup.ops]
-    coefficient, graded = sink_image(tup, poly)
+    coefficient, graded = sink_image(tup)
     identity_ok = graded and coefficient == poly.num_terms
     payload = {
         "commuting": comm.ok,
@@ -220,7 +220,7 @@ def _cmd_ratio_sweep(args):
     config = SweepConfig(args.k, args.q, args.r, _parse_int_list(args.n),
                          _parse_int_list(args.seeds), _budgets_from(args), args.out)
     records = sweep(config)
-    _write_manifest(args.out, args, started,
+    _write_manifest(args, started,
                     derived_seeds={f"n={r.n},seed={r.seed}": derive_seed(r.seed, "signs")
                                    for r in records})
     _emit(args, {"out": args.out, "records": len(records)},
@@ -279,7 +279,7 @@ def _cmd_plot(args):
     svg = render_scatter(points, args.x, args.y, args.loglog)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(svg)
-    _write_manifest(args.out, args, started)
+    _write_manifest(args, started)
     _emit(args, {"out": args.out, "points": len(points)},
           f"wrote {len(points)}-point plot to {args.out}")
     return 0

@@ -115,7 +115,7 @@ def ratio_point(k: int, n: int, q, r, seed: int, budgets: Budgets | None = None)
         tup, _ = contraction_normalize(tup)
     if r != inf:
         tup = tup.with_scale(tup.scale * n ** (-1.0 / r))
-    op_norm = polynomial_operator_norm(tup, poly)
+    op_norm = polynomial_operator_norm(tup)
     scale_k = tup.scale ** k
     ratio = op_norm / est.value if est.value > 0 else math.inf
     floor_ratio = system.num_blocks * scale_k / est.value if est.value > 0 else math.inf

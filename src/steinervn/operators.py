@@ -21,10 +21,10 @@ The grade of a basis vector is m for e-levels of size m, k-1 for the f-layer
 and k for g; HilbertBasis.offsets holds where each grade starts.  Every T_l
 raises the grade by exactly one and has at most one nonzero per column, so
 ||T_l|| is its largest row norm and p(T) = |S| g e^T in closed form.
-||sum_j alpha_j T_j|| is the largest norm of its per-grade blocks: a block
-with one row or one column is a vector with a closed-form norm, and every
-other block is the one norm here that is iterated, by warm-started power
-steps whose value ||M* u|| at a unit u is a lower bound.
+||sum_j alpha_j T_j|| is the largest norm of its per-grade blocks, each
+iterated by warm-started power steps whose value ||M* u|| at a unit u is a
+lower bound.  A tuple owns the polynomial it realizes: the p(T) routines read
+t.polynomial, and load_tuple checks polynomial.txt against the header.
 """
 
 import math
@@ -109,8 +109,9 @@ def _from_triples(dim, flat) -> sparse.csc_array:
 class OperatorTuple:
     """n int64 sparse operators sharing one basis, plus a lazily applied scale.
 
-    The scale multiplies each operator at evaluation time only: structure
-    checks always run on the raw integer matrices.
+    polynomial is the one the tuple realizes, read by every p(T) routine.  The
+    scale multiplies each operator at evaluation time only: structure checks
+    always run on the raw integer matrices.
     """
 
     basis: HilbertBasis
@@ -264,52 +265,48 @@ def operator_norm(a: sparse.csc_array) -> float:
     return math.sqrt(row_sq.max(initial=0.0))
 
 
-def apply_polynomial(t: OperatorTuple, p: SteinerPolynomial, vector) -> np.ndarray:
-    """sum_B sign(B) T_{b_1} ... T_{b_k} applied to a coefficient vector.
+def apply_polynomial(t: OperatorTuple, vector) -> np.ndarray:
+    """p(T) v = scale^k sum_B sign(B) T_{b_1} ... T_{b_k} v for the tuple's own p.
 
-    Exact in integers when scale == 1 and the input is integral; otherwise
-    float, with the result multiplied by scale^k.
+    Works in the vector's dtype promoted with int64: an integer vector gives
+    the exact integer image when scale == 1, and a complex vector stays
+    complex.  The result is multiplied by scale^k only when scale != 1.
     """
-    if p.n != t.n or p.k != t.k:
-        raise ValidationError(
-            f"polynomial (n={p.n}, k={p.k}) incompatible with tuple (n={t.n}, k={t.k})"
-        )
     vector = np.asarray(vector)
     if vector.shape != (t.dim,):
         raise ValidationError(f"vector has shape {vector.shape}, expected ({t.dim},)")
-    exact = t.scale == 1.0 and np.issubdtype(vector.dtype, np.integer)
-    acc = np.zeros(t.dim, dtype=np.int64 if exact else np.float64)
-    work_dtype = np.int64 if exact else np.float64
-    for block, sign in zip(p.system.blocks, p.signs):
-        w = vector.astype(work_dtype)
+    vector = vector.astype(np.result_type(vector, np.int64), copy=False)
+    acc = np.zeros_like(vector)
+    for block, sign in zip(t.polynomial.system.blocks, t.polynomial.signs.tolist()):
+        w = vector
         for j in block:
             w = t.ops[j] @ w
-        acc += int(sign) * w if exact else float(sign) * w
+        acc += sign * w
     if t.scale != 1.0:
         acc = acc * t.scale ** t.k
     return acc
 
 
-def sink_image(t: OperatorTuple, p: SteinerPolynomial) -> tuple:
+def sink_image(t: OperatorTuple) -> tuple:
     """(c, graded) for p(T)e of the unscaled tuple, in exact integers.
 
     c is the coefficient of p(T)e on the sink g, and graded says whether
     p(T)e vanishes off g.
     """
-    image = apply_polynomial(t.with_scale(1.0), p, t.basis.e_vector())
+    image = apply_polynomial(t.with_scale(1.0), t.basis.e_vector())
     g = t.basis.g_index()
     return int(image[g]), not np.any(np.delete(image, g))
 
 
-def polynomial_operator_norm(t: OperatorTuple, p: SteinerPolynomial) -> float:
-    """Spectral norm of p(T_1,...,T_n), including the tuple's scale^k.
+def polynomial_operator_norm(t: OperatorTuple) -> float:
+    """Spectral norm of p(T_1,...,T_n) for the tuple's own p, including scale^k.
 
     Grades run from 0 (the source e) to k (the sink g) and every T_l raises
     the grade by one, so the degree-k polynomial kills every basis vector but
     e and p(T) = c g e^T with c = (p(T)e)_g, which is |S| (criterion A3).
     The norm is |c| scale^k, with c taken from the exact integer image of e.
     """
-    coefficient, graded = sink_image(t, p)
+    coefficient, graded = sink_image(t)
     if not graded:
         raise ValidationError("p(T)e has components off the sink g; the tuple is not graded")
     return abs(coefficient) * t.scale ** t.k
@@ -338,16 +335,16 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
     A(alpha) the n x n middle block).  Alternating maximization: for fixed
     alpha every block gets a unit pair (u, v), and the block with the largest
     sigma = ||M_m* u|| wins; for fixed (u, v) the optimal alpha aligns with
-    s_j = <u, T_j v> by Hoelder equality.  A block with one row or one column
-    is a vector, and its norm and direction are taken in closed form (for
-    k = 3 the two outer blocks, of norm ||alpha||_2).  Every other block takes
-    power steps u <- M v / ||M v||, v <- M* u / ||M* u||, warm-started from its
-    v of the previous alternation step, until sigma stops rising in floating
-    point or _POWER_STEPS steps are spent.  The reported value is the
-    largest sigma seen; each is ||M(alpha)* u|| for an explicit unit u, so it
-    is a lower bound of ||M(alpha)|| and of the sup (up to rounding) without
-    any LAPACK call.  Deterministic per seed; the tuple's scale multiplies
-    the result.
+    s_j = <u, T_j v> by Hoelder equality.  Every block takes power steps
+    u <- M v / ||M v||, v <- M* u / ||M* u||, warm-started from its v of the
+    previous alternation step (first from the conjugate of its largest row),
+    until sigma stops rising in floating point or _POWER_STEPS steps are
+    spent; a block with one row or one column (for k = 3 the two outer
+    blocks, of norm ||alpha||_2) settles in two or three.  The reported value
+    is the largest sigma seen; each is ||M(alpha)* u|| for an explicit unit u,
+    so it is a lower bound of ||M(alpha)|| and of the sup (up to rounding)
+    without any LAPACK call.  Deterministic per seed; the tuple's scale
+    multiplies the result.
     """
     if not (1 < q < inf):
         raise DomainError(f"need 1 < q < inf, got q={q}")
@@ -370,13 +367,6 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
 
     def top_pair(mat, v):
         """(sigma, u, v) with unit u, v and sigma = ||mat* u||, from warm start v or None."""
-        if min(mat.shape) == 1:  # a vector: the pair in closed form
-            vec = mat.ravel()
-            sigma = float(np.linalg.norm(vec))
-            unit = vec / sigma if sigma else np.eye(vec.size, 1).ravel()
-            if mat.shape[1] == 1:
-                return sigma, unit, np.ones(1)
-            return sigma, np.ones(1), np.conj(unit)
         if v is None:  # start from the conjugate of the largest row
             v = np.conj(mat[np.argmax(np.linalg.norm(mat, axis=1))])
         adjoint = mat.conj().T
@@ -468,6 +458,9 @@ def load_tuple(directory) -> OperatorTuple:
         scale = float(head[3]) * n ** (-float(head[4]))
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"{path}: line {lines[0][0]}: bad header") from exc
+    if (poly.n, poly.k) != (n, k):
+        raise ValidationError(f"{path}: header has n={n}, k={k} but polynomial.txt has "
+                              f"n={poly.n}, k={poly.k}")
     basis = build_basis(n, k)
     if basis.dim != dim:
         raise ValidationError(f"{path}: header dim {dim} != basis dim {basis.dim}")

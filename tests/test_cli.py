@@ -8,7 +8,7 @@ import pytest
 
 from steinervn.cli import _budgets_from, build_parser, main
 from steinervn.defect import Budgets, RatioRecord, fit_exponent
-from steinervn.designs import skolem_construct
+from steinervn.designs import bose_construct, skolem_construct
 from steinervn.polynomials import SteinerPolynomial, save_polynomial
 
 
@@ -219,14 +219,29 @@ def test_design_verify_on_a_directory_exits_one(tmp_path, capsys):
     assert stdout == "" and stderr.startswith("error: ")
 
 
-def test_op_check_rejects_bad_polynomial_line(tmp_path, capsys):
-    path = built_tuple(tmp_path, capsys) / "polynomial.txt"
+def bad_polynomial_line(path):
     lines = path.read_text().splitlines()
     lines[2] = "0 1 x"
     path.write_text("\n".join(lines) + "\n")
+    return "polynomial.txt: line 3: expected integer block indices"
+
+
+def sts9_polynomial(path):
+    system = bose_construct(9)
+    save_polynomial(SteinerPolynomial(system, np.ones(system.num_blocks)), path)
+    return "operators.txt: header has n=7, k=3 but polynomial.txt has n=9, k=3"
+
+
+@pytest.mark.parametrize("corrupt", [bad_polynomial_line, sts9_polynomial],
+                         ids=["bad-line", "other-system"])
+def test_op_check_rejects_bad_polynomial_line(tmp_path, capsys, corrupt):
+    path = built_tuple(tmp_path, capsys) / "polynomial.txt"
+    message = corrupt(path)
     code, stdout, stderr = run(capsys, "op", "check", "--in", str(path.parent))
-    assert_line_error(code, stdout, stderr, "polynomial.txt", 3,
-                      "expected integer block indices")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert message in stderr
 
 
 @pytest.mark.parametrize("row, message", [

@@ -285,7 +285,7 @@ def test_contraction_normalize():
 def test_apply_polynomial_e_to_blocks_times_g():
     for n in (7, 13):
         p, t = sts_tuple(n)
-        image = apply_polynomial(t, p, t.basis.e_vector())
+        image = apply_polynomial(t, t.basis.e_vector())
         g = t.basis.g_index()
         assert image.dtype == np.int64
         assert image[g] == p.num_terms
@@ -293,47 +293,65 @@ def test_apply_polynomial_e_to_blocks_times_g():
 
 
 def test_apply_polynomial_kills_g():
-    p, t = sts_tuple(7)
+    _, t = sts_tuple(7)
     v = np.zeros(t.dim, dtype=np.int64)
     v[t.basis.g_index()] = 1
-    assert not np.any(apply_polynomial(t, p, v))
+    assert not np.any(apply_polynomial(t, v))
+
+
+def dense_polynomial(p, t, scale):
+    """scale^k sum_B s_B T_{b_1} ... T_{b_k} as a dense float matrix."""
+    dense = [scale * op.toarray().astype(float) for op in t.ops]
+    return sum(float(sign) * reduce(np.matmul, [dense[j] for j in block])
+               for block, sign in zip(p.system.blocks, p.signs))
 
 
 def test_apply_polynomial_scale():
     p, t = single_block_tuple()
     scaled = t.with_scale(0.5)
-    image = apply_polynomial(scaled, p, t.basis.e_vector().astype(float))
+    image = apply_polynomial(scaled, t.basis.e_vector().astype(float))
     assert abs(image[t.basis.g_index()] - 0.5 ** 3) <= 1e-15
+    # integer, float and complex vectors against the dense product, at scale 0.7
+    rng = np.random.default_rng(5)
+    for p, t in (sts_tuple(7), greedy_tuple(10, 4)):
+        reference = dense_polynomial(p, t, 0.7)
+        scaled = t.with_scale(0.7)
+        for v in (rng.integers(-9, 10, t.dim), rng.standard_normal(t.dim),
+                  rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)):
+            image = apply_polynomial(scaled, v)
+            assert image.dtype == np.result_type(v, np.float64)
+            expected = reference @ v
+            assert np.allclose(image, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+            if np.issubdtype(v.dtype, np.integer):  # unscaled, the integer image is exact
+                assert np.array_equal(apply_polynomial(t, v),
+                                      np.rint(dense_polynomial(p, t, 1.0) @ v).astype(np.int64))
 
 
 def test_polynomial_operator_norm_values():
-    p7, t7 = sts_tuple(7)
-    assert abs(polynomial_operator_norm(t7, p7) - 7.0) <= 1e-6
-    p1, t1 = single_block_tuple()
-    assert polynomial_operator_norm(t1, p1) >= 1.0 - 1e-12
+    _, t7 = sts_tuple(7)
+    assert abs(polynomial_operator_norm(t7) - 7.0) <= 1e-6
+    _, t1 = single_block_tuple()
+    assert polynomial_operator_norm(t1) >= 1.0 - 1e-12
 
 
 def test_polynomial_operator_norm_floor_under_scaling():
-    p, t = sts_tuple(7)
+    _, t = sts_tuple(7)
     scaled = t.with_scale(7 ** -0.5)
-    value = polynomial_operator_norm(scaled, p)
+    value = polynomial_operator_norm(scaled)
     assert abs(value - 7 ** -0.5) <= 1e-6  # 7 * 7^{-3/2}
 
 
 def test_polynomial_operator_norm_matches_dense_product():
     for (p, t), scale in ((sts_tuple(7), 0.7), (greedy_tuple(10, 4), 1.3)):
-        dense = [scale * op.toarray().astype(float) for op in t.ops]
-        pt = sum(float(sign) * reduce(np.matmul, [dense[j] for j in block])
-                 for block, sign in zip(p.system.blocks, p.signs))
-        reference = np.linalg.norm(pt, 2)
-        value = polynomial_operator_norm(t.with_scale(scale), p)
+        reference = np.linalg.norm(dense_polynomial(p, t, scale), 2)
+        value = polynomial_operator_norm(t.with_scale(scale))
         assert abs(value - reference) <= 1e-12 * reference
 
 
 def test_scaling_cubes_the_norm():
-    p, t = sts_tuple(7)
-    v1 = polynomial_operator_norm(t.with_scale(0.5), p)
-    v2 = polynomial_operator_norm(t.with_scale(0.25), p)
+    _, t = sts_tuple(7)
+    v1 = polynomial_operator_norm(t.with_scale(0.5))
+    v2 = polynomial_operator_norm(t.with_scale(0.25))
     assert abs(v2 / v1 - 0.125) <= 1e-9
 
 
