@@ -36,7 +36,9 @@ class NormEstimate:
     """Certified lower bound of a sup-norm with its witness point.
 
     value equals |p(witness)| under independent compensated re-evaluation,
-    and the witness satisfies ||witness||_q <= 1 + 1e-12.
+    and the witness satisfies ||witness||_q <= 1 + 1e-12.  The estimate of a
+    family holds value (R,), witness (R, n) and seed (R,), one entry per
+    sign row, with starts and iterations summed over the rows.
     """
 
     value: float
@@ -79,7 +81,7 @@ def _check_q(q):
 # Projected gradient ascent
 # ---------------------------------------------------------------------------
 
-def _align_burnin(p, z, q):
+def _align_burnin(p, z, q, sign_rows=None):
     """Sharpen random starts, one per row of z, by Hoelder alignment before the ascent.
 
     Each step replaces a row z with the unit-q-norm point maximizing the
@@ -90,11 +92,12 @@ def _align_burnin(p, z, q):
     returned and certification happens downstream.  A row whose partials
     vanish, or whose aligned point has a q-norm below the smallest normal
     float, stays where it is.  Degenerate for q = 1 (the linearized optimum
-    is a single coordinate), so callers skip it there.
+    is a single coordinate), so callers skip it there.  For a family p,
+    ``sign_rows`` gives the sign row of each row of z.
     """
     best_f, best_z = np.full(len(z), -1.0), z.copy()
     for step in range(BURNIN_STEPS + 1):
-        val, part = value_and_partials(p, z)
+        val, part = value_and_partials(p, z, sign_rows)
         f = np.abs(val) ** 2
         better = f > best_f
         best_f[better], best_z[better] = f[better], z[better]
@@ -121,96 +124,129 @@ _LS_CHUNK = 8  # width of every line-search pass after a step's first
 _LS_FIRST_MAX = 24  # widest first pass
 
 
-def _discard(f, rows, reason):
+def _subset(sign_rows, idx):
+    return None if sign_rows is None else sign_rows[idx]
+
+
+def _discard(f, rows, reason, sign_rows):
     for s in rows.tolist():
-        logger.warning("estimate_norm: start %d discarded (%s)", s, reason)
+        if sign_rows is None:
+            logger.warning("estimate_norm: start %d discarded (%s)", s, reason)
+        else:  # a family's rows hold its sign rows' starts in order
+            r = int(sign_rows[s])
+            logger.warning("estimate_norm: start %d of sign row %d discarded (%s)",
+                           s - int(np.searchsorted(sign_rows, r)), r, reason)
     f[rows] = np.nan
 
 
-def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name):
+def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_rows=None):
     """Backtracking gradient ascent of |p|^2, one start per row of x.
 
     ``to_point`` maps states to the points p is evaluated at,
     ``direction(z, f, val, partials)`` gives each row's ascent direction and
-    its squared norm, and ``step(x, alphas, d)`` gives the (rows, width, n)
-    candidate states with a mask of the usable ones (True: all).  Each row
-    keeps its own line search over the steps _ALPHAS (0.5, halving, Armijo
-    constant 1e-4) and takes the first step that passes, and its own stop:
-    zero gradient, no passing step, a relative gain below tol, or max_iters.
-    A pass evaluates the candidates of all searching rows together.  The
-    first pass of a step covers the steps down to 2 past the deepest one any
+    its squared norm, and ``step(x, alphas, d)`` gives, for candidate rows of
+    states x and directions d (fresh arrays it may overwrite) and one step
+    size each, the candidate states with a mask of the usable ones (True:
+    all).  For a family p, ``sign_rows`` gives the sign row of each row of x,
+    sorted.  Each row keeps its own line search over the steps _ALPHAS (0.5,
+    halving, Armijo constant 1e-4) and takes the first step that passes, and
+    its own stop: zero gradient, no passing step, a relative gain below tol,
+    or max_iters.  A pass evaluates the candidates of all searching rows
+    together, each row's in a contiguous run.  The first pass of a row's
+    step covers the steps down to 2 past the deepest one any row of its sign
     row took in the step before (8 steps on the first step, at most 24), so
-    that one pass usually settles every row; rows still searching go on in
+    that one pass usually settles every row, and a deep row of one sign row
+    does not widen the passes of another; rows still searching go on in
     passes of 8 steps.  The passes change only the cost, not the steps taken.
     A row whose direction, or a candidate value at or before the step it
     takes, turns non-finite is discarded with a warning and its |p|^2 set to
     NaN.  Returns (points, |p|^2, iterations per row).
     """
     z = to_point(x)
-    f = np.abs(evaluate_many(p, z)) ** 2
-    num, dim = x.shape
+    f = np.abs(evaluate_many(p, z, sign_rows)) ** 2
+    num = len(x)
+    group = np.zeros(num, dtype=np.intp) if sign_rows is None else sign_rows
+    width = np.full(int(group.max(initial=0)) + 1, _LS_CHUNK)  # first-pass width per sign row
     iters = np.zeros(num, dtype=np.int64)
     live = np.arange(num)
-    width = _LS_CHUNK
     for _ in range(max_iters):
         if not live.size:
             break
         iters[live] += 1
         z_live, f_live = z[live], f[live]
-        val, partials = value_and_partials(p, z_live)
+        val, partials = value_and_partials(p, z_live, _subset(sign_rows, live))
         d, gn2 = direction(z_live, f_live, val, partials)
         finite = np.isfinite(gn2)
         if not finite.all():
-            _discard(f, live[~finite], f"non-finite gradient in {name}")
+            _discard(f, live[~finite], f"non-finite gradient in {name}", sign_rows)
         searching = finite & (gn2 != 0.0)
         live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
-        moving, deepest = [live[:0]], 0
-        lo, hi = 0, width
-        while live.size and lo < len(_ALPHAS):
-            alphas = _ALPHAS[lo:hi]
-            cands, usable = step(x[live], alphas, d)
+        if not live.size:
+            continue
+        moving, deepest = [live[:0]], np.zeros(len(width), dtype=np.intp)
+        lo, hi = 0, width[group[live]]
+        while True:
+            counts = hi - lo  # each row's run of step indices lo..hi-1 (never empty)
+            owner = np.repeat(np.arange(live.size), counts)
+            first = np.cumsum(counts) - counts
+            flat = np.arange(len(owner))
+            step_idx = flat - (first - lo)[owner]
+            alphas, src = _ALPHAS[step_idx], live[owner]
+            cands, usable = step(x[src], alphas, d[owner])
             points = to_point(cands)
-            fs = np.abs(evaluate_many(p, points.reshape(-1, dim))) ** 2
-            fs = np.where(usable, fs.reshape(len(live), len(alphas)), -1.0)
-            armijo = fs >= f_live[:, None] + ARMIJO * alphas * gn2[:, None]
-            hit = armijo.argmax(axis=1)
-            settled = ok = armijo.any(axis=1)
-            if not np.isfinite(fs).all():
+            fs = np.abs(evaluate_many(p, points, _subset(sign_rows, src))) ** 2
+            fs = np.where(usable, fs, -1.0)
+            armijo = fs >= f_live[owner] + ARMIJO * alphas * gn2[owner]
+            pick = np.minimum.reduceat(np.where(armijo, flat, len(fs)), first)  # first hit per row
+            settled = ok = pick < len(fs)
+            bad = ~np.isfinite(fs)
+            if bad.any():
                 # a row fails at a non-finite value at or before the step it takes
-                bad = ~np.isfinite(fs)
-                failed = bad.any(axis=1) & (bad.argmax(axis=1) <= np.where(ok, hit, len(alphas)))
-                _discard(f, live[failed], "non-finite objective in line search")
+                first_bad = np.minimum.reduceat(np.where(bad, flat, len(fs)), first)
+                failed = first_bad <= np.where(ok, pick, first + counts - 1)
+                _discard(f, live[failed], "non-finite objective in line search", sign_rows)
                 ok, settled = ok & ~failed, ok | failed
             took = ok.nonzero()[0]
-            pick = took * len(alphas) + hit[took]  # flat (row, step) index of each step taken
-            rows, f_new = live[took], fs.reshape(-1)[pick]
+            pick = pick[took]
+            rows, f_new = live[took], fs[pick]
             gain = (f_new - f_live[took]) / np.maximum(f_new, 1e-300)
-            x[rows], z[rows], f[rows] = (cands.reshape(-1, dim)[pick],
-                                         points.reshape(-1, dim)[pick], f_new)
+            x[rows], z[rows], f[rows] = cands[pick], points[pick], f_new
+            del cands, points  # the pass's largest arrays: freed before the next is made
             moving.append(rows[gain >= tol])
-            if took.size:
-                deepest = max(deepest, lo + max(hit[took].tolist()))
+            np.maximum.at(deepest, group[rows], step_idx[pick])
             if settled.all():
                 break
-            searching = ~settled
+            searching = ~settled & (hi < len(_ALPHAS))
             live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
-            lo, hi = hi, hi + _LS_CHUNK
-        width = min(deepest + 3, _LS_FIRST_MAX)
-        live = np.concatenate(moving)
+            if not live.size:
+                break
+            lo = hi[searching]
+            hi = np.minimum(lo + _LS_CHUNK, len(_ALPHAS))
+        width = np.minimum(deepest + 3, _LS_FIRST_MAX)
+        live = np.sort(np.concatenate(moving))  # sorted sign rows make long kernel runs
     return z, f, iters
 
 
-def _phase_ascent(p, theta, max_iters, tol):
+def _phase_ascent(p, theta, max_iters, tol, sign_rows=None):
     """Gradient ascent of |p(e^{i theta})|^2 over the torus, one start per row."""
     def direction(z, f, val, partials):
         grad = -2.0 * np.imag(np.conj(val)[:, None] * partials * z)
         return grad, (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]  # each row's BLAS dot
 
     def step(theta, alphas, grad):
-        return theta[:, None, :] + alphas[None, :, None] * grad[:, None, :], True
+        grad *= alphas[:, None]
+        grad += theta
+        del theta  # the gathered states: freed before the points are made
+        return grad, True
 
-    return _armijo_ascent(p, theta, lambda t: np.exp(1j * t), direction, step,
-                          max_iters, tol, "phase ascent")
+    return _armijo_ascent(p, theta, _torus_points, direction, step,
+                          max_iters, tol, "phase ascent", sign_rows)
+
+
+def _torus_points(theta):
+    """e^{i theta}, with the exponential taken in place: one complex array per pass."""
+    z = 1j * theta
+    return np.exp(z, out=z)
 
 
 def _sphere_normal(z, q):
@@ -232,12 +268,13 @@ def _qnorm_rows(points: np.ndarray, q) -> np.ndarray:
         return mods.max(axis=1)
     if q == 1:
         return mods.sum(axis=1)
+    mods **= q  # in place: the moduli of a line-search pass are its largest temporary
     if q == 2:
-        return np.sqrt((mods ** 2).sum(axis=1))
-    return (mods ** q).sum(axis=1) ** (1.0 / q)
+        return np.sqrt(mods.sum(axis=1))
+    return mods.sum(axis=1) ** (1.0 / q)
 
 
-def _sphere_ascent(p, z, q, max_iters, tol):
+def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None):
     """Ascent of the scale-invariant |p(z)|^2 / ||z||_q^{2k}, one start per row.
 
     The search direction is the gradient of the quotient, which vanishes at
@@ -251,17 +288,28 @@ def _sphere_ascent(p, z, q, max_iters, tol):
         return d, np.sum(d.real ** 2 + d.imag ** 2, axis=1)
 
     def step(z, alphas, d):
-        cands = z[:, None, :] + alphas[None, :, None] * d[:, None, :]
-        norms = _qnorm_rows(cands.reshape(-1, z.shape[1]), q).reshape(cands.shape[:2])
+        d *= alphas[:, None]
+        d += z
+        del z  # the gathered states: freed before the norms are taken
+        norms = _qnorm_rows(d, q)
         usable = norms > 0.0
-        cands /= np.where(usable, norms, 1.0)[..., None]  # in place: no masked copies
-        return cands, usable
+        d /= np.where(usable, norms, 1.0)[:, None]  # in place: no masked copies
+        return d, usable
 
     z = z / qnorm(z, q)[:, None]
-    return _armijo_ascent(p, z, lambda z: z, direction, step, max_iters, tol, "sphere ascent")
+    return _armijo_ascent(p, z, lambda z: z, direction, step, max_iters, tol, "sphere ascent",
+                          sign_rows)
 
 
 def _certify(p, witness, q, method, starts, iterations, seed):
+    """NormEstimate of p at the witness; a family's witnesses (R, n) and seeds go
+    through it row by row."""
+    if p.is_family:
+        rows = [_certify(SteinerPolynomial(p.system, signs), w, q, method, 0, 0, s)
+                for signs, w, s in zip(p.signs, witness, seed)]
+        return NormEstimate(np.array([e.value for e in rows]), rows[0].q,
+                            np.stack([e.witness for e in rows]), method, starts, iterations,
+                            tuple(seed))
     nrm = qnorm(witness, q)
     if nrm > 1.0 + 1e-12:
         witness = witness / nrm
@@ -272,7 +320,7 @@ def _certify(p, witness, q, method, starts, iterations, seed):
 
 def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
                   max_iters: int = Budgets.iters, tol: float = Budgets.tol,
-                  seed: int = 0) -> NormEstimate:
+                  seed=0) -> NormEstimate:
     """Best witness over ``starts`` runs of projected gradient ascent.
 
     For q = inf the ascent runs over phase vectors z_j = e^{i theta_j} (the
@@ -285,41 +333,65 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
     iteration count, and computes what it would compute alone (up to the
     last bit of a batched BLAS sum).  A start whose values turn non-finite
     is discarded with a warning; if all are, ConvergenceError is raised.
+
+    A family p (signs of shape (R, m)) takes one seed per sign row, and its
+    R * starts rows run as one batch: row r computes exactly what
+    ``estimate_norm(SteinerPolynomial(p.system, p.signs[r]), q, starts,
+    max_iters, tol, seed[r])`` computes, and the NormEstimate holds one
+    value and witness per row (see NormEstimate).
     """
     _check_q(q)
     if starts < 1:
         raise DomainError(f"starts={starts} must be >= 1")
-    n = p.n
+    if p.is_family:
+        if np.ndim(seed) != 1 or len(seed) != len(p.signs):
+            raise DomainError(f"a family of {len(p.signs)} sign rows needs as many seeds, "
+                              f"got {seed!r}")
+        seed = [int(s) for s in seed]
+    seeds = seed if p.is_family else [seed]
+    n, num = p.n, len(seeds)
+    total = starts * num
     if p.num_terms == 0:
         witness = np.zeros(n, dtype=np.complex128)
         if q == inf:
             witness[:] = 1.0
         elif n:
             witness[0] = 1.0
-        return _certify(p, witness, q, "trivial", starts, 0, seed)
+        if p.is_family:
+            witness = np.tile(witness, (num, 1))
+        return _certify(p, witness, q, "trivial", total, 0, seed)
 
-    rngs = [rng_for(seed, "start", s) for s in range(starts)]
+    rngs = [rng_for(s, "start", i) for s in seeds for i in range(starts)]
+    sign_rows = np.repeat(np.arange(num), starts) if p.is_family else None
     if q == inf:
         z0 = np.exp(1j * np.array([rng.uniform(0.0, 2.0 * np.pi, size=n) for rng in rngs]))
-        points, f, iters = _phase_ascent(p, np.angle(_align_burnin(p, z0, q)), max_iters, tol)
+        theta = np.angle(_align_burnin(p, z0, q, sign_rows))
+        points, f, iters = _phase_ascent(p, theta, max_iters, tol, sign_rows)
     else:
         z0 = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
         if q > 1:
-            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q)
-        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol)
+            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q, sign_rows)
+        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol, sign_rows)
+    f = f.reshape(num, starts)
     kept = ~np.isnan(f)  # discarded starts hold NaN
-    if not kept.any():
-        raise ConvergenceError(f"all {starts} ascent starts produced non-finite values")
-    return _certify(p, points[np.nanargmax(f)], q, "multistart_ascent", starts,
-                    int(iters[kept].sum()), seed)
+    if not kept.any(axis=1).all():
+        where = f" of sign row {int(np.argmin(kept.any(axis=1)))}" if p.is_family else ""
+        raise ConvergenceError(f"all {starts} ascent starts{where} produced non-finite values")
+    best = np.arange(num) * starts + np.nanargmax(f, axis=1)
+    witness = points[best] if p.is_family else points[best[0]]
+    return _certify(p, witness, q, "multistart_ascent", total,
+                    int(iters[kept.reshape(-1)].sum()), seed)
 
 
 def recertify(p: SteinerPolynomial, est: NormEstimate) -> bool:
-    """Independent check of both NormEstimate invariants, the value to a relative 1e-10."""
-    if qnorm(est.witness, est.q) > 1.0 + 1e-12:
+    """Independent check of both NormEstimate invariants, the value to a relative 1e-10.
+
+    A family's estimate passes only if every sign row's does.
+    """
+    if np.any(qnorm(est.witness, est.q) > 1.0 + 1e-12):
         return False
-    value = abs(evaluate_compensated(p, est.witness))
-    return abs(value - est.value) <= 1e-10 * max(1.0, abs(est.value))
+    value = np.abs(evaluate_compensated(p, est.witness))
+    return bool(np.all(np.abs(value - est.value) <= 1e-10 * np.maximum(1.0, np.abs(est.value))))
 
 
 # ---------------------------------------------------------------------------

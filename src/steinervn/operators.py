@@ -144,8 +144,9 @@ def build_operators(p: SteinerPolynomial) -> OperatorTuple:
     T_l e(B - {l, i}) = s f_i.  Entries are all +-1.  The blocks are checked
     once, by designs.verify: an unsorted, duplicate or out-of-range block, or
     two blocks sharing a (k-1)-set, raises ValidationError, so every top
-    e(J) of every T_l has at most one image.
+    e(J) of every T_l has at most one image.  So does a family of sign rows.
     """
+    p.require_single("build_operators")
     system = p.system
     if system.t != system.k - 1:
         raise ValidationError(f"need t = k-1, got t={system.t}, k={system.k}")

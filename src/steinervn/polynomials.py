@@ -25,7 +25,13 @@ TILE_MONOMIALS = 1 << 14
 
 @dataclass
 class SteinerPolynomial:
-    """Support blocks (canonical lexicographic order) plus one sign per block."""
+    """Support blocks (canonical lexicographic order) plus one sign per block.
+
+    Signs of shape (R, m) make a family: R polynomials on one support, sign
+    row r being polynomial r.  The kernels take one sign row per point row,
+    and estimate_norm, recertify and evaluate_compensated work row by row;
+    building operators, saving and relabelling need one polynomial.
+    """
 
     system: PartialSteinerSystem
     signs: np.ndarray
@@ -34,10 +40,11 @@ class SteinerPolynomial:
 
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.int8)
-        if self.signs.shape != (self.system.num_blocks,):
+        m = self.system.num_blocks
+        if self.signs.shape != (m,) and not (self.signs.ndim == 2 and len(self.signs)
+                                             and self.signs.shape[1] == m):
             raise ValidationError(
-                f"sign vector has shape {self.signs.shape}, expected ({self.system.num_blocks},)"
-            )
+                f"sign array has shape {self.signs.shape}, expected ({m},) or (R, {m}), R >= 1")
         if self.signs.size and not np.all(np.abs(self.signs) == 1):
             raise ValidationError("signs must all be +1 or -1")
 
@@ -53,6 +60,16 @@ class SteinerPolynomial:
     def num_terms(self) -> int:
         return self.system.num_blocks
 
+    @property
+    def is_family(self) -> bool:
+        return self.signs.ndim == 2
+
+    def require_single(self, action: str):
+        """Raise ValidationError when this is a family, which ``action`` cannot take."""
+        if self.is_family:
+            raise ValidationError(f"{action} needs one polynomial, got a family of "
+                                  f"{len(self.signs)} sign rows")
+
     def kernel_plan(self) -> "_KernelPlan":
         """The index and sign arrays the batched kernels reuse; built on first use, cached."""
         if self._plan is None:
@@ -64,17 +81,18 @@ class _KernelPlan:
     """Per-polynomial arrays of evaluate_many and value_and_partials.
 
     ``cols[i]`` is block column i as a contiguous index array and ``signs``
-    the signs as complex numbers.  ``bins(rows)[pos]`` scatters the
-    contributions of block position pos in a tile of ``rows`` points onto
-    the float64 view of the (rows, n) partials: weight (r, 2 i + part), the
-    real (part 0) or imaginary (part 1) half of monomial i's term, goes to
-    bin 2 (r n + blocks[i, pos]) + part.  The bins are built for the largest
-    tile seen and sliced for smaller ones.
+    the (R, m) sign rows as floats (R = 1 for one polynomial).
+    ``bins(rows)[pos]`` scatters the contributions of block position pos in
+    a tile of ``rows`` points onto the float64 view of the (rows, n)
+    partials: weight (r, 2 i + part), the real (part 0) or imaginary (part 1)
+    half of monomial i's term, goes to bin 2 (r n + blocks[i, pos]) + part.
+    The bins are built for the largest tile seen and sliced for smaller
+    ones; neither they nor the columns depend on the signs.
     """
 
     def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
         self.cols = [np.ascontiguousarray(blocks[:, i]) for i in range(blocks.shape[1])]
-        self.signs = signs.astype(np.complex128)
+        self.signs = signs.reshape(-1, len(blocks)).astype(np.float64)
         self._n = n
         self._bins = np.empty((blocks.shape[1], 0, 2 * len(blocks)), dtype=np.int64)
 
@@ -85,6 +103,12 @@ class _KernelPlan:
             self._bins = rowbase + parts.reshape(len(self.cols), 1, -1)  # (k, rows, 2m)
         return self._bins[:, :rows]
 
+    def tile_signs(self, sign_rows, rows: slice) -> np.ndarray:
+        """The signs of a tile's points: (1, m) when all take row 0, else (rows, m)."""
+        if sign_rows is None:
+            return self.signs[:1]
+        return np.take(self.signs, sign_rows[rows], axis=0)
+
 
 def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:
     """z as one complex point of p (ndim 1) or as an (N, n) batch of them (ndim 2)."""
@@ -93,6 +117,23 @@ def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:
         expected = f"({p.n},)" if ndim == 1 else f"(N, {p.n})"
         raise ValidationError(f"points array has shape {z.shape}, expected {expected}")
     return z
+
+
+def _sign_rows(p: SteinerPolynomial, sign_rows, num: int):
+    """The sign row of each of ``num`` point rows as an index array, or None when
+    every point takes p's one sign row."""
+    count = len(p.signs) if p.is_family else 1
+    if sign_rows is None:
+        if count > 1:
+            raise ValidationError(f"a family of {count} sign rows needs one sign row per point")
+        return None
+    sign_rows = np.asarray(sign_rows)
+    if sign_rows.shape != (num,) or sign_rows.dtype.kind not in "iu":
+        raise ValidationError(f"sign_rows has shape {sign_rows.shape} and dtype "
+                              f"{sign_rows.dtype}, expected ({num},) integers")
+    if num and (sign_rows.min() < 0 or sign_rows.max() >= count):
+        raise ValidationError(f"sign_rows outside [0, {count})")
+    return None if count == 1 else sign_rows
 
 
 def _row_tiles(num_rows: int, width: int):
@@ -109,6 +150,16 @@ def _row_tiles(num_rows: int, width: int):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _sign_runs(sign_rows, rows: slice):
+    """(run, sign row) for each run of equal sign rows in a tile; a run is a
+    slice of the tile's rows, and one sign row makes one run."""
+    if sign_rows is None:
+        return [(slice(0, rows.stop - rows.start), 0)]
+    tile = sign_rows[rows]
+    bounds = [0] + (np.flatnonzero(tile[1:] != tile[:-1]) + 1).tolist() + [len(tile)]
+    return [(slice(lo, hi), tile[lo]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _monomials(points: np.ndarray, cols) -> np.ndarray:
     """Products of the block coordinates, (N, n) points -> (N, m) monomials;
     ``cols`` holds the k block columns."""
@@ -122,62 +173,93 @@ def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
     """Signed sum of the monomials of p at the point z, summed with fsum.
 
     Used to certify optimizer witnesses independently of the ascent path.
+    A family takes an (R, n) array, one point per sign row, and gives an
+    (R,) array, row r being the value of sign row r at point r.
     """
-    t = p.signs * _monomials(_as_points(p, z, 1)[None, :], p.system.blocks_array().T)[0]
-    return complex(math.fsum(t.real), math.fsum(t.imag))
+    points = _as_points(p, z, p.signs.ndim).reshape(-1, p.n)
+    if p.is_family and len(points) != len(p.signs):
+        raise ValidationError(f"points array has shape {points.shape}, expected "
+                              f"({len(p.signs)}, {p.n}): one point per sign row")
+    terms = np.atleast_2d(p.signs) * _monomials(points, p.system.blocks_array().T)
+    values = [complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms]
+    return np.array(values) if p.is_family else values[0]
 
 
-def evaluate_many(p: SteinerPolynomial, points: np.ndarray) -> np.ndarray:
+def evaluate_many(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> np.ndarray:
     """Vectorized evaluation on an (N, n) array of points, in row tiles; a row matches
-    its one-row call to rounding (BLAS may sum a lone row in another order)."""
+    its one-row call to rounding (BLAS may sum a lone row in another order).
+
+    For a family, ``sign_rows`` gives the sign row of each point, and each
+    run of one sign row in a tile sums its monomials by one matvec with that
+    row's signs, so that every point gets the bits of the call on its sign
+    row's points alone.  That call sums a row as a row of a batch unless its
+    tile holds one row, so a lone run is summed as a row of two when the
+    family's tile, and the sign row's points, are more than one.  Sorted sign
+    rows make long runs.
+    """
     points = _as_points(p, points, 2)
+    sign_rows = _sign_rows(p, sign_rows, len(points))
     out = np.zeros(points.shape[0], dtype=np.complex128)
     if p.num_terms == 0:
         return out
     plan = p.kernel_plan()
+    counts = None if sign_rows is None else np.bincount(sign_rows)
     for rows in _row_tiles(points.shape[0], p.num_terms):
-        out[rows] = _monomials(points[rows], plan.cols) @ plan.signs
+        terms, tile = _monomials(points[rows], plan.cols), out[rows]
+        for run, r in _sign_runs(sign_rows, rows):
+            if run.stop - run.start == 1 and len(tile) > 1 and counts[r] > 1:
+                tile[run] = (terms[[run.start] * 2] @ plan.signs[r])[:1]
+            else:
+                tile[run] = terms[run] @ plan.signs[r]
+        del terms  # before the next tile's monomials are made
     return out
 
 
-def value_and_partials(p: SteinerPolynomial, z) -> tuple:
+def value_and_partials(p: SteinerPolynomial, z, sign_rows=None) -> tuple:
     """(p(z), complex partials dp/dz_j) at one point or at each row of a batch.
 
     dp/dz_j = sum over blocks J containing j of c_J * prod_{i in J, i != j} z_i.
     A point of shape (n,) gives (complex, (n,) array); an (N, n) array gives
     ((N,) values, (N, n) partials), each row bit-identical to the call on
-    that row alone.  It keeps about 3k (rows, m) temporaries where
-    evaluate_many keeps two, so its row tiles hold TILE_MONOMIALS / k
-    monomials, and the temporaries and the plan's bins stay cache-sized.
+    that row alone.  For a family, ``sign_rows`` gives the sign row of each
+    point (a list of one for a single point).  It keeps about 3k (rows, m)
+    temporaries where evaluate_many keeps two, so its row tiles hold
+    TILE_MONOMIALS / k monomials, and the temporaries and the plan's bins
+    stay cache-sized.
     """
     single = np.ndim(z) == 1
     points = _as_points(p, z, 1 if single else 2).reshape(-1, p.n)
     num, n = points.shape
+    sign_rows = _sign_rows(p, sign_rows, num)
     values = np.zeros(num, dtype=np.complex128)
     partials = np.zeros((num, n), dtype=np.complex128)
     if p.num_terms:
         plan = p.kernel_plan()
         m, k = p.num_terms, p.k
-        signs = plan.signs
         flat = partials.view(np.float64)  # (num, 2n): re, im of each partial in turn
         for rows in _row_tiles(num, k * m):
+            signs = plan.tile_signs(sign_rows, rows)
             cols = [np.take(points[rows], col, axis=1) for col in plan.cols]  # (r, m)
+            # fold the signs into column 0, which is exact (rounding is symmetric), so
+            # every product through it is signed and only others[0] needs them again
+            cols[0] *= signs
             # products of columns 0..i (prefix[i]), i..k-1 (suffix[i]), all but pos (others[pos])
             prefix, suffix = [cols[0]], [None] * (k - 1) + [cols[k - 1]]
             for i in range(1, k):
                 prefix.append(prefix[-1] * cols[i])
             for i in range(k - 2, 0, -1):
                 suffix[i] = suffix[i + 1] * cols[i]
-            others = ([suffix[1]] + [prefix[i - 1] * suffix[i + 1] for i in range(1, k - 1)]
+            others = ([suffix[1] * signs] + [prefix[i - 1] * suffix[i + 1] for i in range(1, k - 1)]
                       + [prefix[k - 2]])
             # one bincount per position on the interleaved (re, im) halves of the terms
             # and partials: each bin adds the terms of one partial's half in block order
             out = flat[rows].reshape(-1)  # a view
             bins = plan.bins(len(cols[0]))
             for pos in range(k):
-                w = (signs * others[pos]).view(np.float64).reshape(-1)
+                w = others[pos].view(np.float64).reshape(-1)
                 out += np.bincount(bins[pos].reshape(-1), weights=w, minlength=out.size)
-            values[rows] = (signs * prefix[k - 1]).sum(axis=1)
+            values[rows] = prefix[k - 1].sum(axis=1)
+            del cols, prefix, suffix, others  # before the next tile's are made
     if single:
         return complex(values[0]), partials[0]
     return values, partials
@@ -200,10 +282,12 @@ SEARCH_TOL = 1e-7
 class Budgets:
     """Optimizer settings for one ratio cell.
 
-    Each candidate sign pattern is scored with the cheap search_* settings,
-    which only need to rank patterns; the winner is re-estimated with
-    ``starts``, ``iters`` and ``tol``.  The lincomb_* settings drive the
-    joint-condition sup of the d32 experiment.
+    Each of the ``rounds`` candidate sign patterns is scored with the cheap
+    search_* settings, which only need to rank patterns; the winner is
+    re-estimated with ``starts``, ``iters`` and ``tol``.  The search scores
+    the rounds in families of ``starts // search_starts`` patterns (at least
+    one), so no search batch holds more rows than the final estimate.  The
+    lincomb_* settings drive the joint-condition sup of the d32 experiment.
     """
 
     rounds: int = 32
@@ -223,25 +307,32 @@ def best_of_signs(system: PartialSteinerSystem, q, rounds: int, seed: int,
     Returns (polynomial, estimate).  Every round is scored with the search
     settings of ``budgets`` (default ``Budgets()``), and the estimate is
     recomputed for the winning pattern with its ``starts``, ``iters`` and
-    ``tol``.  Round r draws its signs with seed derive_seed(seed, "round", r),
-    so the candidate set is independent of evaluation order; ties go to the
-    lowest round index.
+    ``tol``.  Round r draws its signs with seed derive_seed(seed, "round", r)
+    and is scored with seed derive_seed(seed, "search", r), so the candidate
+    set and every score are independent of evaluation order; ties go to the
+    lowest round index.  The rounds are scored as families of
+    ``budgets.starts // budgets.search_starts`` sign rows (at least one), one
+    estimate_norm call each: two calls of 16 rounds at the defaults.
     """
     from .norms import estimate_norm  # deferred: norms imports this module's types
 
     if rounds < 1:
         raise DomainError(f"rounds={rounds} must be >= 1")
     budgets = budgets or Budgets()
-    best_round, best_poly, best_value = None, None, math.inf
-    for r in range(rounds):
-        poly = SteinerPolynomial(system, random_signs(system, derive_seed(seed, "round", r)))
-        est = estimate_norm(poly, q, starts=budgets.search_starts, max_iters=budgets.search_iters,
-                            tol=SEARCH_TOL, seed=derive_seed(seed, "search", r))
-        if est.value < best_value:
-            best_round, best_poly, best_value = r, poly, est.value
-    final = estimate_norm(best_poly, q, starts=budgets.starts, max_iters=budgets.iters,
-                          tol=budgets.tol, seed=derive_seed(seed, "final", best_round))
-    return best_poly, final
+    per_family = max(1, budgets.starts // budgets.search_starts)
+    signs, scores = [], []
+    for lo in range(0, rounds, per_family):
+        batch = range(lo, min(lo + per_family, rounds))
+        signs += [random_signs(system, derive_seed(seed, "round", r)) for r in batch]
+        est = estimate_norm(SteinerPolynomial(system, np.stack(signs[lo:])), q,
+                            starts=budgets.search_starts, max_iters=budgets.search_iters,
+                            tol=SEARCH_TOL, seed=[derive_seed(seed, "search", r) for r in batch])
+        scores += est.value.tolist()
+    best = int(np.argmin(scores))  # the first minimum: ties go to the lowest round
+    poly = SteinerPolynomial(system, signs[best])
+    final = estimate_norm(poly, q, starts=budgets.starts, max_iters=budgets.iters,
+                          tol=budgets.tol, seed=derive_seed(seed, "final", best))
+    return poly, final
 
 
 def relabel(p: SteinerPolynomial, perm) -> SteinerPolynomial:
@@ -249,6 +340,7 @@ def relabel(p: SteinerPolynomial, perm) -> SteinerPolynomial:
 
     Blocks are re-sorted into canonical order with their signs carried along.
     """
+    p.require_single("relabel")
     perm = list(perm)
     pairs = []
     for b, s in zip(p.system.blocks, p.signs):
@@ -260,6 +352,7 @@ def relabel(p: SteinerPolynomial, perm) -> SteinerPolynomial:
 
 def save_polynomial(p: SteinerPolynomial, path):
     """System file format plus a final line of +1/-1 signs."""
+    p.require_single("save_polynomial")
     save_system(p.system, path)
     with open(path, "a", encoding="ascii") as fh:
         fh.write(" ".join("+1" if s > 0 else "-1" for s in p.signs) + "\n")

@@ -9,10 +9,11 @@ import pytest
 from steinervn import norms
 from steinervn.designs import PartialSteinerSystem, greedy_construct, skolem_construct
 from steinervn.errors import ConvergenceError, DomainError
-from steinervn.norms import (analytic_bounds, brute_force_norm, estimate_norm,
-                             ksz_polydisk_bound, polarization_constant, qnorm,
-                             recertify)
-from steinervn.polynomials import SteinerPolynomial, random_signs, value_and_partials
+from steinervn.norms import (NormEstimate, analytic_bounds, brute_force_norm,
+                             estimate_norm, ksz_polydisk_bound, polarization_constant,
+                             qnorm, recertify)
+from steinervn.polynomials import (SEARCH_TOL, SteinerPolynomial, random_signs,
+                                   value_and_partials)
 from steinervn.seeding import derive_seed
 
 
@@ -206,8 +207,8 @@ def poison_start(monkeypatch, p, q, seed, bad):
             marks.append(z / qnorm(z, q))
     kernel = norms.value_and_partials
 
-    def poisoned(poly, z):
-        vals, partials = kernel(poly, z)
+    def poisoned(poly, z, *sign_rows):
+        vals, partials = kernel(poly, z, *sign_rows)
         for mark in marks:
             hit = np.abs(z - mark).max(axis=1) <= 1e-9
             vals[hit], partials[hit] = np.nan, np.nan
@@ -253,9 +254,9 @@ def test_line_search_discards_only_on_values_up_to_the_step_taken(caplog, poison
         return d, np.sum(d * d, axis=1) / 1e-3
 
     def ascent(bad):
-        def step(theta, alphas, d):
-            cands = theta[:, None, :] + alphas[None, :, None] * d[:, None, :]
-            cands[:, bad(alphas)] = np.nan
+        def step(theta, alphas, d):  # one candidate per row, each with its own step
+            cands = theta + alphas[:, None] * d
+            cands[bad(alphas)] = np.nan
             return cands, True
 
         return norms._armijo_ascent(p, theta.copy(), lambda t: np.exp(1j * t), direction, step,
@@ -270,6 +271,88 @@ def test_line_search_discards_only_on_values_up_to_the_step_taken(caplog, poison
         assert not caplog.records
         assert np.array_equal(z, clean[0]) and np.array_equal(f, clean[1])
         assert np.array_equal(iters, clean[2]) and (iters == 5).all()
+
+
+# ---------------------------------------------------------------------------
+# families: one estimate_norm call over R sign rows on one support
+# ---------------------------------------------------------------------------
+
+def family(system, rows, seed=0):
+    """R sign rows drawn as best_of_signs draws its rounds, with one search seed each."""
+    signs = np.stack([random_signs(system, derive_seed(seed, "round", r)) for r in range(rows)])
+    return SteinerPolynomial(system, signs), [derive_seed(seed, "search", r) for r in range(rows)]
+
+
+def assert_rows_match_single_calls(fam, seeds, est, q, **budgets):
+    """Every row of a family estimate is, to the bit, the estimate of its sign row alone."""
+    assert est.value.shape == (len(seeds),) and est.witness.shape == (len(seeds), fam.n)
+    iterations = 0
+    for r, seed in enumerate(seeds):
+        alone = estimate_norm(SteinerPolynomial(fam.system, fam.signs[r]), q, seed=seed, **budgets)
+        assert est.value[r].hex() == alone.value.hex(), r
+        assert est.witness[r].tobytes() == alone.witness.tobytes(), r
+        iterations += alone.iterations
+    assert est.iterations == iterations
+    assert est.starts == budgets["starts"] * len(seeds) and est.seed == tuple(seeds)
+
+
+@pytest.mark.parametrize("system, q", [(skolem_construct(25), inf), (skolem_construct(49), 2.0),
+                                       (greedy_construct(10, 4, 2), 3.0)],
+                         ids=["sts25-inf", "sts49-2", "greedy10-4-3"])
+@pytest.mark.parametrize("starts, max_iters", [(4, 150), (1, 150), (8, 600)])
+def test_family_rows_are_the_single_pattern_estimates(system, q, starts, max_iters):
+    # one start per row exercises the lone-row sums, eight the longer ascent
+    fam, seeds = family(system, 5, seed=3)
+    budgets = dict(starts=starts, max_iters=max_iters, tol=SEARCH_TOL)
+    est = estimate_norm(fam, q, seed=seeds, **budgets)
+    assert recertify(fam, est)
+    assert_rows_match_single_calls(fam, seeds, est, q, **budgets)
+
+
+@pytest.mark.parametrize("q, where", [(inf, "phase ascent"), (2.0, "sphere ascent")])
+def test_family_start_poisoned_in_one_row_is_discarded_alone(monkeypatch, caplog, q, where):
+    fam, seeds = family(seeded_poly(13, 3, 6).system, 3, seed=4)
+    clean = estimate_norm(fam, q, starts=4, max_iters=200, seed=seeds)
+    poison_start(monkeypatch, fam, q, seed=seeds[1], bad=[3])
+    with caplog.at_level(logging.WARNING, logger=norms.__name__):
+        est = estimate_norm(fam, q, starts=4, max_iters=200, seed=seeds)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"estimate_norm: start 3 of sign row 1 discarded (non-finite gradient in {where})"]
+    for r in (0, 2):
+        assert est.value[r] == clean.value[r]
+        assert np.array_equal(est.witness[r], clean.witness[r])
+    # row 1 keeps the three starts its clean estimate shares with a 3-start one
+    row1 = estimate_norm(SteinerPolynomial(fam.system, fam.signs[1]), q, starts=3,
+                         max_iters=200, seed=seeds[1])
+    assert abs(est.value[1] - row1.value) <= 1e-12 * row1.value
+    assert np.abs(est.witness[1] - row1.witness).max() <= 1e-9
+
+
+def test_recertify_rejects_a_family_estimate_with_one_moved_row():
+    fam, seeds = family(greedy_construct(10, 4, 2), 4, seed=1)
+    est = estimate_norm(fam, 3.0, starts=4, max_iters=150, seed=seeds)
+    assert recertify(fam, est)
+    for r in range(4):
+        moved = est.value.copy()
+        moved[r] += 1e-9
+        assert not recertify(fam, NormEstimate(**{**est.__dict__, "value": moved}))
+    outside = est.witness.copy()
+    outside[2] *= 1.0 + 1e-9
+    assert not recertify(fam, NormEstimate(**{**est.__dict__, "witness": outside}))
+
+
+def test_family_needs_one_seed_per_row():
+    fam, seeds = family(skolem_construct(7), 3)
+    for bad in (0, seeds[:2], [seeds]):
+        with pytest.raises(DomainError):
+            estimate_norm(fam, inf, starts=2, seed=bad)
+
+
+def test_family_of_an_empty_system_is_trivial():
+    fam = SteinerPolynomial(PartialSteinerSystem(4, 3, 2, ()), np.zeros((3, 0), dtype=np.int8))
+    est = estimate_norm(fam, 2.0, starts=4, seed=[1, 2, 3])
+    assert est.method == "trivial" and np.array_equal(est.value, np.zeros(3))
+    assert est.witness.shape == (3, 4) and est.starts == 12 and recertify(fam, est)
 
 
 def test_sts7_estimate_matches_oracle_within_2pct():

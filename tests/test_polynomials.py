@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from steinervn.designs import PartialSteinerSystem, skolem_construct
+from steinervn import norms
+from steinervn.designs import PartialSteinerSystem, greedy_construct, skolem_construct
 from steinervn.errors import DomainError, ValidationError
-from steinervn.polynomials import (TILE_MONOMIALS, Budgets, SteinerPolynomial,
+from steinervn.operators import build_operators
+from steinervn.polynomials import (SEARCH_TOL, TILE_MONOMIALS, Budgets, SteinerPolynomial,
                                    best_of_signs, evaluate_compensated, evaluate_many,
                                    load_polynomial, random_signs, relabel,
                                    save_polynomial, value_and_partials)
@@ -227,6 +232,60 @@ def test_kernel_shapes_empty_and_invalid():
         evaluate_many(two_blocks(), np.ones(5))
 
 
+def sign_family(system, rows, seed=0):
+    return SteinerPolynomial(system, np.stack([random_signs(system, seed + r) for r in range(rows)]))
+
+
+def family_batches():
+    """(family, points, sign row of each point): long and lone runs, a run cut by a
+    tile boundary, a sign row with one point, k = 2 and 4, and one-row tiles."""
+    rng = np.random.default_rng(15)
+    sts25, sts247 = skolem_construct(25), skolem_construct(247)
+
+    def points(rows, n):
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (rows, n)))
+
+    yield sign_family(sts25, 3), points(400, 25), np.arange(400) % 3  # every run lone
+    yield sign_family(sts25, 2), points(164, 25), np.repeat([0, 1], [162, 2])  # cut at 163
+    yield sign_family(sts25, 3), points(40, 25), np.repeat([0, 1, 2], [20, 1, 19])
+    yield sign_family(greedy_construct(14, 4, 1), 4), points(90, 14), np.sort(rng.integers(0, 4, 90))
+    yield sign_family(greedy_construct(12, 2, 0), 2), points(30, 12), rng.integers(0, 2, 30)
+    yield sign_family(sts247, 2), points(4, 247), np.array([0, 1, 1, 0])  # m > TILE / 2
+
+
+def test_family_kernels_give_each_point_the_bits_of_its_sign_row_alone():
+    for fam, pts, rows in family_batches():
+        values = evaluate_many(fam, pts, rows)
+        vals, partials = value_and_partials(fam, pts, rows)
+        for r in range(len(fam.signs)):
+            idx = np.flatnonzero(rows == r)
+            alone = SteinerPolynomial(fam.system, fam.signs[r])
+            assert np.array_equal(values[idx], evaluate_many(alone, pts[idx])), r
+            alone_vals, alone_partials = value_and_partials(alone, pts[idx])
+            assert np.array_equal(vals[idx], alone_vals)
+            assert np.array_equal(partials[idx], alone_partials)
+
+
+def test_family_compensated_evaluation_is_row_by_row():
+    fam = sign_family(skolem_construct(13), 4)
+    pts = np.exp(1j * np.random.default_rng(16).uniform(0.0, 2.0 * np.pi, (4, 13)))
+    values = evaluate_compensated(fam, pts)
+    assert values.shape == (4,)
+    for r in range(4):
+        assert values[r] == evaluate_compensated(SteinerPolynomial(fam.system, fam.signs[r]), pts[r])
+    for bad in (pts[0], pts[:3]):
+        with pytest.raises(ValidationError):
+            evaluate_compensated(fam, bad)
+
+
+def test_family_kernels_reject_bad_sign_rows():
+    fam, pts = sign_family(skolem_construct(7), 3), np.ones((4, 7))
+    for bad in (None, [0, 1, 2], [[0, 1, 2, 0]], [0, 1, 3, 0], [0, -1, 1, 0], [0.0, 1.0, 2.0, 0.0]):
+        for kernel in (evaluate_many, value_and_partials):
+            with pytest.raises(ValidationError):
+                kernel(fam, pts, bad)
+
+
 def test_random_signs_deterministic():
     system = skolem_construct(13)
     assert np.array_equal(random_signs(system, 3), random_signs(system, 3))
@@ -274,6 +333,84 @@ def test_best_of_signs_sts13_below_ksz():
 def test_best_of_signs_rejects_zero_rounds():
     with pytest.raises(DomainError):
         best_of_signs(skolem_construct(7), np.inf, rounds=0, seed=0)
+
+
+def round_loop(system, q, seed, budgets):
+    """best_of_signs as one search estimate per round: the loop the families replaced."""
+    best_round, best_poly, best_value = None, None, math.inf
+    for r in range(budgets.rounds):
+        poly = SteinerPolynomial(system, random_signs(system, derive_seed(seed, "round", r)))
+        est = estimate_norm(poly, q, starts=budgets.search_starts,
+                            max_iters=budgets.search_iters, tol=SEARCH_TOL,
+                            seed=derive_seed(seed, "search", r))
+        if est.value < best_value:
+            best_round, best_poly, best_value = r, poly, est.value
+    return best_poly, estimate_norm(best_poly, q, starts=budgets.starts, max_iters=budgets.iters,
+                                    tol=budgets.tol, seed=derive_seed(seed, "final", best_round))
+
+
+@pytest.mark.parametrize("n, q", [(25, np.inf), (49, 2.0)])
+@pytest.mark.parametrize("seed", range(4))
+def test_best_of_signs_matches_the_round_loop(n, q, seed):
+    system, budgets = skolem_construct(n), Budgets()
+    poly, est = best_of_signs(system, q, budgets.rounds, seed, budgets)
+    ref_poly, ref = round_loop(system, q, seed, budgets)
+    assert np.array_equal(poly.signs, ref_poly.signs)
+    assert (est.value.hex(), est.iterations) == (ref.value.hex(), ref.iterations)
+    assert est.witness.tobytes() == ref.witness.tobytes()
+
+
+def test_best_of_signs_scores_in_families_of_the_final_batch_size(monkeypatch):
+    calls = []
+    estimate = norms.estimate_norm
+
+    def record(p, q, **kw):
+        calls.append((p.signs.shape, kw["starts"]))
+        return estimate(p, q, **kw)
+
+    monkeypatch.setattr(norms, "estimate_norm", record)
+    system = skolem_construct(13)
+    best_of_signs(system, np.inf, 32, 0)
+    assert calls == [((16, 26), 4), ((16, 26), 4), ((26,), 64)]
+    calls.clear()
+    best_of_signs(system, np.inf, 5, 0, Budgets(starts=8, search_starts=3, iters=50))
+    assert calls == [((2, 26), 3), ((2, 26), 3), ((1, 26), 3), ((26,), 8)]
+
+
+def test_search_tier_memory_peak_is_at_most_the_final_tiers(monkeypatch):
+    # q = 2 at n = 97, default budgets: two 64-row families, then the 64-start final
+    peaks = []
+    estimate = norms.estimate_norm
+
+    def traced(p, q, **kw):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        est = estimate(p, q, **kw)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return est
+
+    monkeypatch.setattr(norms, "estimate_norm", traced)
+    system = skolem_construct(97)
+    tracemalloc.start()
+    try:
+        best_of_signs(system, 2.0, Budgets.rounds, 0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3 and max(peaks[:2]) <= peaks[2], peaks
+
+
+def test_families_are_checked_and_refused_where_one_polynomial_is_needed(tmp_path):
+    system = skolem_construct(7)
+    fam = SteinerPolynomial(system, np.stack([random_signs(system, s) for s in range(3)]))
+    assert fam.is_family and fam.num_terms == 7
+    for bad in (np.ones((0, 7)), np.ones((2, 6)), np.ones((1, 2, 7)), np.full((2, 7), 2)):
+        with pytest.raises(ValidationError):
+            SteinerPolynomial(system, bad)
+    for refuse in (build_operators, lambda p: save_polynomial(p, tmp_path / "poly.txt"),
+                   lambda p: relabel(p, range(7))):
+        with pytest.raises(ValidationError, match="family of 3 sign rows"):
+            refuse(fam)
+    assert not (tmp_path / "poly.txt").exists()
 
 
 def test_polynomial_file_roundtrip(tmp_path):
