@@ -14,8 +14,8 @@ from math import comb, factorial, inf, log
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .polynomials import (Budgets, SteinerPolynomial, evaluate_compensated,
-                          evaluate_many, value_and_partials)
+from .polynomials import (TILE_MONOMIALS, Budgets, SteinerPolynomial, block_terms,
+                          evaluate_compensated, evaluate_many, value_and_partials)
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
@@ -24,6 +24,8 @@ ARMIJO = 1e-4
 BURNIN_STEPS = 30
 STEP0 = 0.5
 STEP_SHRINK = 0.5
+# Relative gain below which a q = inf start leaves gradient steps for Newton steps.
+NEWTON_SWITCH = 1e-4
 ORACLE_MAX_N = 7
 ORACLE_MIN_RESOLUTION = 16
 ORACLE_SAMPLES = 1_000_000
@@ -160,7 +162,8 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     passes of 8 steps.  The passes change only the cost, not the steps taken.
     A row whose direction, or a candidate value at or before the step it
     takes, turns non-finite is discarded with a warning and its |p|^2 set to
-    NaN.  Returns (points, |p|^2, iterations per row).
+    NaN.  Returns (points, |p|^2, iterations per row); x ends at the final
+    states.
     """
     z = to_point(x)
     f = np.abs(evaluate_many(p, z, sign_rows)) ** 2
@@ -228,7 +231,12 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
 
 
 def _phase_ascent(p, theta, max_iters, tol, sign_rows=None):
-    """Gradient ascent of |p(e^{i theta})|^2 over the torus, one start per row."""
+    """Ascent of |p(e^{i theta})|^2 over the torus, one start per row of theta.
+
+    Each row takes gradient steps (_armijo_ascent) until its relative gain
+    falls below NEWTON_SWITCH, then damped Newton steps (_newton_finish)
+    until it falls below tol; both stages count against max_iters.
+    """
     def direction(z, f, val, partials):
         grad = -2.0 * np.imag(np.conj(val)[:, None] * partials * z)
         return grad, (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]  # each row's BLAS dot
@@ -239,8 +247,108 @@ def _phase_ascent(p, theta, max_iters, tol, sign_rows=None):
         del theta  # the gathered states: freed before the points are made
         return grad, True
 
-    return _armijo_ascent(p, theta, _torus_points, direction, step,
-                          max_iters, tol, "phase ascent", sign_rows)
+    z, f, iters = _armijo_ascent(p, theta, _torus_points, direction, step, max_iters,
+                                 max(tol, NEWTON_SWITCH), "phase ascent", sign_rows)
+    if tol < NEWTON_SWITCH:
+        _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows)
+    return z, f, iters
+
+
+def _torus_derivatives(p, z, sign_rows=None):
+    """Gradient (N, n) and Hessian (N, n, n) of f(theta) = |p(e^{i theta})|^2 at the
+    rows of z = e^{i theta}.
+
+    p is multilinear, so with t_B the signed block terms and M the
+    block-point incidence, g = z * dp/dz = M^T t and d^2 p / d theta_j
+    d theta_l = -(sum of t_B over the blocks through j and l).  With
+    w_B = Re(conj(p) t_B): grad f = -2 Im(conj(p) g) and Hess f =
+    2 Re(g g^H) - 2 M^T diag(w) M, one sparse product each.  Turning every
+    phase by one angle leaves f unchanged, so Hess f 1 = 0 and grad f . 1 = 0.
+    """
+    incidence, pairs = p.kernel_plan().incidence()
+    terms = block_terms(p, z, sign_rows)
+    val = terms.sum(axis=1)
+    g = (incidence @ terms.T).T
+    grad = -2.0 * np.imag(np.conj(val)[:, None] * g)
+    w = val.real[:, None] * terms.real + val.imag[:, None] * terms.imag
+    del terms
+    hess = g.real[:, :, None] * g.real[:, None, :]
+    hess += g.imag[:, :, None] * g.imag[:, None, :]
+    hess -= (pairs @ w.T).reshape(p.n, p.n, -1).transpose(2, 0, 1)
+    hess *= 2.0
+    return grad, hess
+
+
+def _solve_rows(a, b):
+    """x with a[i] x[i] = b[i] for each row i; an exactly singular a[i] gives x[i] = 0."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros_like(b)
+        return np.concatenate([_solve_rows(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
+
+
+def _newton_steps(grad, hess, mu):
+    """Each row's damped Newton step d: (mu I - H) d = grad with d_0 = 0, since H 1 = 0
+    leaves theta_0 free; hess is overwritten.  A row with a non-finite gradient or
+    Hessian gets NaN."""
+    a = hess[:, 1:, 1:]
+    a *= -1.0
+    diag = np.arange(a.shape[1])
+    a[:, diag, diag] += mu[:, None]
+    ok = np.isfinite(grad).all(axis=1) & np.isfinite(a).all(axis=(1, 2))
+    d = np.zeros_like(grad)
+    d[ok, 1:] = _solve_rows(a[ok], grad[ok, 1:])
+    d[~ok] = np.nan
+    return d
+
+
+def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None):
+    """Damped Newton (Levenberg-Marquardt) ascent of |p(e^{i theta})|^2 from each row's
+    state, updating theta, z = e^{i theta}, f = |p(z)|^2 and iters in place.
+
+    Every row with budget left and a finite f takes steps d from
+    _newton_steps with its own damping mu, which starts at f.  A row takes
+    the step when f(theta + d) >= max(f, f + ARMIJO grad f . d), and then
+    mu <- mu / 4; otherwise it stays and mu <- 4 mu.  A row stops at a zero
+    gradient, at a step taken with a relative gain below tol, or when its
+    iterations (one per step tried, added to its earlier ones) reach
+    max_iters.  A row whose step or candidate value turns non-finite is
+    discarded with a warning.  The Hessians are built and solved in tiles of
+    about TILE_MONOMIALS entries per (rows, n, n) array.
+    """
+    n = p.n
+    mu = f.copy()
+    tile = max(1, TILE_MONOMIALS // (n * n))
+    live = np.flatnonzero(~np.isnan(f) & (iters < max_iters))
+    while live.size:
+        iters[live] += 1
+        grad, d = np.empty((len(live), n)), np.empty((len(live), n))
+        for lo in range(0, len(live), tile):
+            rows = live[lo:lo + tile]
+            grad[lo:lo + tile], hess = _torus_derivatives(p, z[rows], _subset(sign_rows, rows))
+            d[lo:lo + tile] = _newton_steps(grad[lo:lo + tile], hess, mu[rows])
+            del hess  # the tile's largest array: freed before the next is made
+        slope = (grad[:, None, :] @ d[:, :, None])[:, 0, 0]  # each row's BLAS dot
+        finite = np.isfinite(slope)
+        if not finite.all():
+            _discard(f, live[~finite], "non-finite gradient in phase ascent", sign_rows)
+        searching = finite & (grad != 0.0).any(axis=1)
+        live, d, slope = live[searching], d[searching], slope[searching]
+        cands = theta[live] + d
+        points = _torus_points(cands)
+        f_live = f[live]
+        fs = np.abs(evaluate_many(p, points, _subset(sign_rows, live))) ** 2
+        bad = ~np.isfinite(fs)
+        if bad.any():
+            _discard(f, live[bad], "non-finite objective in Newton step", sign_rows)
+        took = fs >= np.maximum(f_live, f_live + ARMIJO * slope)
+        mu[live] *= np.where(took, 0.25, 4.0)
+        gain = (fs - f_live) / np.maximum(fs, 1e-300)
+        rows = live[took]
+        theta[rows], z[rows], f[rows] = cands[took], points[took], fs[took]
+        live = live[~bad & ~(took & (gain < tol)) & (iters[live] < max_iters)]
 
 
 def _torus_points(theta):
@@ -324,15 +432,17 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
     """Best witness over ``starts`` runs of projected gradient ascent.
 
     For q = inf the ascent runs over phase vectors z_j = e^{i theta_j} (the
-    maximum modulus principle puts the optimum on the torus); for finite q
+    maximum modulus principle puts the optimum on the torus), with gradient
+    steps until a start's relative gain falls below NEWTON_SWITCH and damped
+    Newton steps on the closed-form torus Hessian after that; for finite q
     over the complex unit q-sphere (homogeneity puts it on the sphere).
-    Start s uses the derived seed (seed, "start", s), so enlarging ``starts``
-    keeps all earlier starts and the result is nondecreasing.  The starts
-    advance together, as the rows of one array, so each step costs one
-    batched kernel call; every row keeps its own line search, stop rule and
-    iteration count, and computes what it would compute alone (up to the
-    last bit of a batched BLAS sum).  A start whose values turn non-finite
-    is discarded with a warning; if all are, ConvergenceError is raised.
+    Start s uses the derived seed (seed, "start", s).  The starts advance
+    together, as the rows of one array, so each step costs one batched
+    kernel call; every row keeps its own line search or damping, stop rule
+    and iteration count, and computes to the bit what it would compute
+    alone.  So enlarging ``starts`` keeps all earlier starts and the result
+    is nondecreasing.  A start whose values turn non-finite is discarded
+    with a warning; if all are, ConvergenceError is raised.
 
     A family p (signs of shape (R, m)) takes one seed per sign row, and its
     R * starts rows run as one batch: row r computes exactly what

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .designs import (PartialSteinerSystem, line_ints, numbered_lines, parse_system,
                       save_system)
@@ -87,7 +88,8 @@ class _KernelPlan:
     partials: weight (r, 2 i + part), the real (part 0) or imaginary (part 1)
     half of monomial i's term, goes to bin 2 (r n + blocks[i, pos]) + part.
     The bins are built for the largest tile seen and sliced for smaller
-    ones; neither they nor the columns depend on the signs.
+    ones; neither they nor the columns depend on the signs, nor do the
+    incidence matrices of ``incidence()``, which the torus Hessian uses.
     """
 
     def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
@@ -95,6 +97,21 @@ class _KernelPlan:
         self.signs = signs.reshape(-1, len(blocks)).astype(np.float64)
         self._n = n
         self._bins = np.empty((blocks.shape[1], 0, 2 * len(blocks)), dtype=np.int64)
+        self._incidence = None
+
+    def incidence(self) -> tuple:
+        """(M^T, P) as 0/1 CSR matrices: M^T (n, m) has a one at (j, i) when block
+        i holds point j, and P (n^2, m) at (j n + l, i) when it holds j and l
+        (j = l included).  For weights w on the blocks, M^T w sums w over the
+        blocks through each point, and P w is M^T diag(w) M flattened."""
+        if self._incidence is None:
+            blocks = np.stack(self.cols, axis=1)  # (m, k)
+            m, k = blocks.shape
+            cells = (self._n * blocks[:, :, None] + blocks[:, None, :]).reshape(-1)
+            pairs = sparse.csr_array((np.ones(m * k * k), (cells, np.repeat(np.arange(m), k * k))),
+                                     shape=(self._n ** 2, m))
+            self._incidence = (pairs[np.arange(self._n) * (self._n + 1)], pairs)
+        return self._incidence
 
     def bins(self, rows: int) -> np.ndarray:
         if rows > self._bins.shape[1]:
@@ -137,17 +154,9 @@ def _sign_rows(p: SteinerPolynomial, sign_rows, num: int):
 
 
 def _row_tiles(num_rows: int, width: int):
-    """Row slices of about TILE_MONOMIALS / width rows each (at least one row).
-
-    A last tile of one row joins the tile before it: BLAS sums a lone row in
-    another order, and every row of a batch must get the same bits whatever
-    the batch's size.
-    """
+    """Row slices of about TILE_MONOMIALS / width rows each (at least one row)."""
     step = max(1, TILE_MONOMIALS // width)
-    bounds = list(range(0, num_rows, step)) + [num_rows]
-    if step > 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [slice(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
 
 
 def _sign_runs(sign_rows, rows: slice):
@@ -186,16 +195,15 @@ def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
 
 
 def evaluate_many(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> np.ndarray:
-    """Vectorized evaluation on an (N, n) array of points, in row tiles; a row matches
-    its one-row call to rounding (BLAS may sum a lone row in another order).
+    """Vectorized evaluation on an (N, n) array of points, in row tiles; every row gets
+    the bits of the same row inside any other batch, a one-row call included.
 
-    For a family, ``sign_rows`` gives the sign row of each point, and each
-    run of one sign row in a tile sums its monomials by one matvec with that
-    row's signs, so that every point gets the bits of the call on its sign
-    row's points alone.  That call sums a row as a row of a batch unless its
-    tile holds one row, so a lone run is summed as a row of two when the
-    family's tile, and the sign row's points, are more than one.  Sorted sign
-    rows make long runs.
+    Each run of one sign row in a tile (the whole tile for one polynomial)
+    sums its monomials by one matvec with that row's signs.  BLAS sums a
+    lone row in another order than a row of a matrix, so a run of one row is
+    summed as a row of two.  For a family, ``sign_rows`` gives the sign row
+    of each point, so every point gets the bits of the call on its sign
+    row's points alone; sorted sign rows make long runs.
     """
     points = _as_points(p, points, 2)
     sign_rows = _sign_rows(p, sign_rows, len(points))
@@ -203,16 +211,24 @@ def evaluate_many(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> n
     if p.num_terms == 0:
         return out
     plan = p.kernel_plan()
-    counts = None if sign_rows is None else np.bincount(sign_rows)
     for rows in _row_tiles(points.shape[0], p.num_terms):
         terms, tile = _monomials(points[rows], plan.cols), out[rows]
         for run, r in _sign_runs(sign_rows, rows):
-            if run.stop - run.start == 1 and len(tile) > 1 and counts[r] > 1:
+            if run.stop - run.start == 1:
                 tile[run] = (terms[[run.start] * 2] @ plan.signs[r])[:1]
             else:
                 tile[run] = terms[run] @ plan.signs[r]
         del terms  # before the next tile's monomials are made
     return out
+
+
+def block_terms(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> np.ndarray:
+    """The signed block terms c_J z_J at each row of an (N, n) batch, (N, m); p is
+    their sum.  For a family, ``sign_rows`` gives the sign row of each point."""
+    points = _as_points(p, points, 2)
+    sign_rows = _sign_rows(p, sign_rows, len(points))
+    plan = p.kernel_plan()
+    return plan.tile_signs(sign_rows, slice(None)) * _monomials(points, plan.cols)
 
 
 def value_and_partials(p: SteinerPolynomial, z, sign_rows=None) -> tuple:

@@ -102,7 +102,8 @@ def test_matching_polynomials_q2_half():
 
 
 # estimate_norm(seeded_poly(n, k, s), q, starts=5, max_iters=300, seed=7) as
-# computed by the one-start-at-a-time ascent that the batched one replaced:
+# computed by the one-start-at-a-time ascent that the batched one replaced, and
+# at q = inf with the Newton stage that finishes each start:
 # ((n, k, s), q, value, iterations, witness to 10 decimals).
 PINNED_ESTIMATES = [
     ((9, 3, 1), 1.0, 0.009562571953574123, 623,
@@ -121,10 +122,10 @@ PINNED_ESTIMATES = [
      [-0.4492447028-0.0982213808j, 0.4707533363+0.2138268451j, -0.1395616550-0.4381675654j,
       0.2477110866+0.3885985645j, 0.4492448252+0.0982208689j, 0.4205560786-0.3007710463j,
       -0.2477106653-0.3885988314j, 0.4205561017-0.3007710061j, 0.2126820116-0.4088226813j]),
-    ((9, 3, 1), inf, 9.931597068077513, 6,
-     [0.9891073090-0.1471962341j, 0.1570114355-0.9875967847j, 0.6220294929+0.7829938122j,
-      -0.5952871775+0.8035130219j, 0.6220298301+0.7829935443j, -0.7767781871-0.6297742834j,
-      -0.9935062060-0.1137779355j, -0.1570114375+0.9875967844j, 0.9935062548+0.1137775097j]),
+    ((9, 3, 1), inf, 9.931597068077563, 10,
+     [0.9891073090-0.1471962341j, 0.1570114385-0.9875967842j, 0.6220295031+0.7829938041j,
+      -0.5952872140+0.8035129949j, 0.6220297838+0.7829935811j, -0.7767781849-0.6297742861j,
+      -0.9935062121-0.1137778824j, -0.1570114399+0.9875967840j, 0.9935062527+0.1137775277j]),
     ((10, 4, 2), 1.0, 0.0010894997210690962, 1201,
      [0.0129694624-0.0601338801j, -0.0211338347+0.0016796853j, -0.1105899637-0.0869447866j,
       -0.0206264848-0.0318727712j, 0.1871591047+0.0549352660j, 0.0669875702+0.0322403886j,
@@ -145,11 +146,11 @@ PINNED_ESTIMATES = [
       -0.3224102899+0.3113637445j, -0.0681913392+0.4428689969j, -0.1233459231+0.4731576496j,
       0.0806682015+0.4620746618j, -0.2067087206+0.3680327055j, 0.3835830122-0.2465396982j,
       -0.4745558447-0.0624116243j]),
-    ((10, 4, 2), inf, 16.1788150321237, 26,
-     [-0.1885483753-0.9820639033j, 0.7416905234-0.6707422512j, 0.9400093631+0.3411486440j,
-      0.9856952740+0.1685373156j, 0.9170029104-0.3988805112j, 0.9519988248-0.3061016785j,
-      0.7647625962-0.6443121693j, 0.9980141403-0.0629902826j, -0.9000267150-0.4358347305j,
-      0.4289986507+0.9033051299j]),
+    ((10, 4, 2), inf, 16.178815032124366, 25,
+     [-0.1885483753-0.9820639033j, 0.7416905593-0.6707422114j, 0.9400093840+0.3411485865j,
+      0.9856952610+0.1685373921j, 0.9170028976-0.3988805408j, 0.9519988768-0.3061015168j,
+      0.7647626533-0.6443121015j, 0.9980141331-0.0629903968j, -0.9000266972-0.4358347672j,
+      0.4289986207+0.9033051441j]),
 ]
 
 
@@ -173,10 +174,11 @@ def test_burnin_below_q2_keeps_rows_whose_norm_underflows():
 # q = 2, two sign patterns each, pinned to the bit: (n, q, seed, value.hex(),
 # iterations, first 16 hex digits of the SHA-256 of the witness's bytes).  A
 # change to the line search or the kernels that moves one accepted step moves
-# these.  Computed with numpy's bundled OpenBLAS on x86-64.
+# these, and so does one accepted Newton step at q = inf.  Computed with numpy's
+# bundled OpenBLAS on x86-64.
 PINNED_DEFAULT_ESTIMATES = [
-    (25, inf, 0, "0x1.fce44b05fcfd5p+5", 1869, "361a4246f9be4a3c"),
-    (25, inf, 1, "0x1.f124fb01ae8a3p+5", 2578, "3baedd065b7518d6"),
+    (25, inf, 0, "0x1.fce44b065abf8p+5", 918, "f8a3ca3e0c2426f3"),
+    (25, inf, 1, "0x1.f124fb01d6f36p+5", 1089, "72ffe27068b76df8"),
     (49, 2.0, 0, "0x1.2d228fecc1004p-1", 347, "3cf564b042e6b35c"),
     (49, 2.0, 1, "0x1.2f6249e1ba0f2p-1", 189, "25a7107b0d46ed59"),
 ]
@@ -188,6 +190,53 @@ def test_default_budget_estimate_is_pinned_to_the_bit(n, q, seed, value, iterati
     est = estimate_norm(SteinerPolynomial(system, random_signs(system, seed)), q, seed=seed)
     assert (est.value.hex(), est.iterations) == (value, iterations)
     assert hashlib.sha256(est.witness.tobytes()).hexdigest()[:16] == witness
+
+
+def phase_gradient(p, z):
+    """grad_theta |p(e^{i theta})|^2 = -2 Im(conj(p) z dp/dz) at each row of z."""
+    val, partials = value_and_partials(p, z)
+    return -2.0 * np.imag(np.conj(val)[:, None] * partials * z)
+
+
+@pytest.mark.parametrize("system", [skolem_construct(13), greedy_construct(10, 4, 2)],
+                         ids=["sts13", "greedy10-4"])
+def test_torus_hessian_matches_central_differences(system):
+    p = SteinerPolynomial(system, random_signs(system, 5))
+    theta = np.random.default_rng(21).uniform(0.0, 2.0 * np.pi, (3, p.n))
+    grad, hess = norms._torus_derivatives(p, np.exp(1j * theta))
+    assert np.abs(grad - phase_gradient(p, np.exp(1j * theta))).max() <= 1e-13 * np.abs(grad).max()
+    h, scale = 1e-5, np.abs(hess).max()
+    for j in range(p.n):
+        step = np.zeros(p.n)
+        step[j] = h
+        up = np.abs(norms.evaluate_many(p, np.exp(1j * (theta + step)))) ** 2
+        down = np.abs(norms.evaluate_many(p, np.exp(1j * (theta - step)))) ** 2
+        assert np.abs(grad[:, j] - (up - down) / (2 * h)).max() <= 1e-6 * np.abs(grad).max()
+        column = (phase_gradient(p, np.exp(1j * (theta + step)))
+                  - phase_gradient(p, np.exp(1j * (theta - step)))) / (2 * h)
+        assert np.abs(hess[:, :, j] - column).max() <= 1e-6 * scale, j
+    # turning every phase by one angle leaves |p| unchanged: H 1 = 0 and grad . 1 = 0
+    assert np.abs(hess.sum(axis=2)).max() <= 1e-13 * scale
+    assert np.abs(grad.sum(axis=1)).max() <= 1e-13 * np.abs(grad).max()
+
+
+def test_newton_solve_gives_an_exactly_singular_row_a_zero_step():
+    # mu can underflow to 0 after many accepted steps, and a point in no block
+    # leaves a zero row in mu I - H; np.linalg.solve raises for the whole stack
+    a = np.stack([2.0 * np.eye(3), np.diag([1.0, 0.0, 1.0]), np.eye(3)])
+    b = np.ones((3, 3))
+    assert np.array_equal(norms._solve_rows(a, b), [[0.5] * 3, [0.0] * 3, [1.0] * 3])
+
+
+def test_qinf_witness_is_stationary():
+    # the Newton stage runs each start to a critical point of |p|^2 on the torus
+    for n in (25, 49):
+        system = skolem_construct(n)
+        for pat in range(3):
+            p = SteinerPolynomial(system, random_signs(system, derive_seed(pat, "grid")))
+            est = estimate_norm(p, inf, seed=pat)
+            residual = np.linalg.norm(phase_gradient(p, est.witness[None])) / est.value ** 2
+            assert residual <= 1e-7, (n, pat, residual)
 
 
 def poison_start(monkeypatch, p, q, seed, bad):

@@ -192,6 +192,16 @@ def test_evaluate_many_row_bits_do_not_depend_on_the_batch():
         assert np.array_equal(evaluate_many(p, pts[lo:]), batch[lo:])
 
 
+def test_evaluate_many_one_row_call_gives_the_bits_of_the_row_in_a_batch():
+    # BLAS sums a (1, m) matvec in another order, so a lone row is summed as a row of two
+    sts25 = skolem_construct(25)
+    p = SteinerPolynomial(sts25, random_signs(sts25, 3))
+    pts = np.exp(1j * np.random.default_rng(17).uniform(0.0, 2.0 * np.pi, (40, 25)))
+    batch = evaluate_many(p, pts)
+    for i in range(len(pts)):
+        assert evaluate_many(p, pts[i:i + 1])[0] == batch[i], i
+
+
 def test_kernel_plan_built_on_first_use_and_cached():
     sts7 = skolem_construct(7)
     p = SteinerPolynomial(sts7, random_signs(sts7, 1))
