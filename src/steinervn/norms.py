@@ -14,8 +14,8 @@ from math import comb, factorial, inf, log
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .polynomials import (TILE_MONOMIALS, Budgets, SteinerPolynomial, block_terms,
-                          evaluate_compensated, evaluate_many, value_and_partials)
+from .polynomials import (Budgets, SteinerPolynomial, block_terms, evaluate_compensated,
+                          evaluate_many, row_tiles, value_and_partials)
 from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
@@ -315,20 +315,19 @@ def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None):
     gradient, at a step taken with a relative gain below tol, or when its
     iterations (one per step tried, added to its earlier ones) reach
     max_iters.  A row whose step or candidate value turns non-finite is
-    discarded with a warning.  The Hessians are built and solved in tiles of
-    about TILE_MONOMIALS entries per (rows, n, n) array.
+    discarded with a warning.  The Hessians are built and solved in the
+    kernels' row tiles, of about TILE_MONOMIALS entries per (rows, n, n) array.
     """
     n = p.n
     mu = f.copy()
-    tile = max(1, TILE_MONOMIALS // (n * n))
     live = np.flatnonzero(~np.isnan(f) & (iters < max_iters))
     while live.size:
         iters[live] += 1
         grad, d = np.empty((len(live), n)), np.empty((len(live), n))
-        for lo in range(0, len(live), tile):
-            rows = live[lo:lo + tile]
-            grad[lo:lo + tile], hess = _torus_derivatives(p, z[rows], _subset(sign_rows, rows))
-            d[lo:lo + tile] = _newton_steps(grad[lo:lo + tile], hess, mu[rows])
+        for tile in row_tiles(len(live), n * n):
+            rows = live[tile]
+            grad[tile], hess = _torus_derivatives(p, z[rows], _subset(sign_rows, rows))
+            d[tile] = _newton_steps(grad[tile], hess, mu[rows])
             del hess  # the tile's largest array: freed before the next is made
         slope = (grad[:, None, :] @ d[:, :, None])[:, 0, 0]  # each row's BLAS dot
         finite = np.isfinite(slope)
@@ -410,20 +409,17 @@ def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None):
 
 
 def _certify(p, witness, q, method, starts, iterations, seed):
-    """NormEstimate of p at the witness; a family's witnesses (R, n) and seeds go
-    through it row by row."""
-    if p.is_family:
-        rows = [_certify(SteinerPolynomial(p.system, signs), w, q, method, 0, 0, s)
-                for signs, w, s in zip(p.signs, witness, seed)]
-        return NormEstimate(np.array([e.value for e in rows]), rows[0].q,
-                            np.stack([e.witness for e in rows]), method, starts, iterations,
-                            tuple(seed))
+    """NormEstimate of p at its witness, rows (R, n): one row for one polynomial, one per
+    sign row for a family, whose seeds are (R,)."""
     nrm = qnorm(witness, q)
-    if nrm > 1.0 + 1e-12:
-        witness = witness / nrm
-    value = abs(evaluate_compensated(p, witness))
-    return NormEstimate(value, float(q) if q != inf else inf, witness,
-                        method, starts, iterations, seed)
+    over = nrm > 1.0 + 1e-12
+    witness = np.where(over[:, None], witness / np.where(over, nrm, 1.0)[:, None], witness)
+    values = evaluate_compensated(p, witness if p.is_family else witness[0])
+    values = [abs(complex(v)) for v in np.atleast_1d(values)]  # Python's abs: libm's hypot
+    q = float(q) if q != inf else inf
+    if p.is_family:
+        return NormEstimate(np.array(values), q, witness, method, starts, iterations, tuple(seed))
+    return NormEstimate(values[0], q, witness[0], method, starts, iterations, seed)
 
 
 def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
@@ -462,13 +458,8 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
     n, num = p.n, len(seeds)
     total = starts * num
     if p.num_terms == 0:
-        witness = np.zeros(n, dtype=np.complex128)
-        if q == inf:
-            witness[:] = 1.0
-        elif n:
-            witness[0] = 1.0
-        if p.is_family:
-            witness = np.tile(witness, (num, 1))
+        witness = np.zeros((num, n), dtype=np.complex128)
+        witness[:, :n if q == inf else 1] = 1.0  # a point of the torus, or e_0
         return _certify(p, witness, q, "trivial", total, 0, seed)
 
     rngs = [rng_for(s, "start", i) for s in seeds for i in range(starts)]
@@ -488,8 +479,7 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
         where = f" of sign row {int(np.argmin(kept.any(axis=1)))}" if p.is_family else ""
         raise ConvergenceError(f"all {starts} ascent starts{where} produced non-finite values")
     best = np.arange(num) * starts + np.nanargmax(f, axis=1)
-    witness = points[best] if p.is_family else points[best[0]]
-    return _certify(p, witness, q, "multistart_ascent", total,
+    return _certify(p, points[best], q, "multistart_ascent", total,
                     int(iters[kept.reshape(-1)].sum()), seed)
 
 
@@ -598,9 +588,7 @@ def brute_force_norm(p: SteinerPolynomial, q, resolution: int) -> NormEstimate:
             if vals[j] > best_val:
                 best_val, best_theta = float(vals[j]), thetas[j]
         theta, _ = _local_phase_refine(p, best_theta, 2.0 * np.pi / resolution)
-        witness = np.exp(1j * theta)
-        est = _certify(p, witness, q, "grid_oracle", total, 0, 0)
-        return est
+        return _certify(p, np.exp(1j * theta)[None], q, "grid_oracle", total, 0, 0)
 
     rng = rng_for(0, "oracle", n, p.k, int(resolution))
     best_val, best_z = -1.0, None
@@ -614,7 +602,7 @@ def brute_force_norm(p: SteinerPolynomial, q, resolution: int) -> NormEstimate:
             best_val, best_z = float(vals[j]), batch[j]
         remaining -= batch.shape[0]
     z, _ = _local_sphere_refine(p, best_z, q, rng)
-    return _certify(p, z, q, "grid_oracle", ORACLE_SAMPLES, 0, 0)
+    return _certify(p, z[None], q, "grid_oracle", ORACLE_SAMPLES, 0, 0)
 
 
 # ---------------------------------------------------------------------------

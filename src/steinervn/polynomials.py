@@ -153,7 +153,7 @@ def _sign_rows(p: SteinerPolynomial, sign_rows, num: int):
     return None if count == 1 else sign_rows
 
 
-def _row_tiles(num_rows: int, width: int):
+def row_tiles(num_rows: int, width: int):
     """Row slices of about TILE_MONOMIALS / width rows each (at least one row)."""
     step = max(1, TILE_MONOMIALS // width)
     return [slice(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
@@ -211,7 +211,7 @@ def evaluate_many(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> n
     if p.num_terms == 0:
         return out
     plan = p.kernel_plan()
-    for rows in _row_tiles(points.shape[0], p.num_terms):
+    for rows in row_tiles(points.shape[0], p.num_terms):
         terms, tile = _monomials(points[rows], plan.cols), out[rows]
         for run, r in _sign_runs(sign_rows, rows):
             if run.stop - run.start == 1:
@@ -232,19 +232,16 @@ def block_terms(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> np.
 
 
 def value_and_partials(p: SteinerPolynomial, z, sign_rows=None) -> tuple:
-    """(p(z), complex partials dp/dz_j) at one point or at each row of a batch.
+    """((N,) values p(z), (N, n) complex partials dp/dz_j) at each row of an (N, n) batch.
 
     dp/dz_j = sum over blocks J containing j of c_J * prod_{i in J, i != j} z_i.
-    A point of shape (n,) gives (complex, (n,) array); an (N, n) array gives
-    ((N,) values, (N, n) partials), each row bit-identical to the call on
-    that row alone.  For a family, ``sign_rows`` gives the sign row of each
-    point (a list of one for a single point).  It keeps about 3k (rows, m)
+    Each row is bit-identical to the call on that row alone.  For a family,
+    ``sign_rows`` gives the sign row of each point.  It keeps about 3k (rows, m)
     temporaries where evaluate_many keeps two, so its row tiles hold
     TILE_MONOMIALS / k monomials, and the temporaries and the plan's bins
     stay cache-sized.
     """
-    single = np.ndim(z) == 1
-    points = _as_points(p, z, 1 if single else 2).reshape(-1, p.n)
+    points = _as_points(p, z, 2)
     num, n = points.shape
     sign_rows = _sign_rows(p, sign_rows, num)
     values = np.zeros(num, dtype=np.complex128)
@@ -253,7 +250,7 @@ def value_and_partials(p: SteinerPolynomial, z, sign_rows=None) -> tuple:
         plan = p.kernel_plan()
         m, k = p.num_terms, p.k
         flat = partials.view(np.float64)  # (num, 2n): re, im of each partial in turn
-        for rows in _row_tiles(num, k * m):
+        for rows in row_tiles(num, k * m):
             signs = plan.tile_signs(sign_rows, rows)
             cols = [np.take(points[rows], col, axis=1) for col in plan.cols]  # (r, m)
             # fold the signs into column 0, which is exact (rounding is symmetric), so
@@ -276,8 +273,6 @@ def value_and_partials(p: SteinerPolynomial, z, sign_rows=None) -> tuple:
                 out += np.bincount(bins[pos].reshape(-1), weights=w, minlength=out.size)
             values[rows] = prefix[k - 1].sum(axis=1)
             del cols, prefix, suffix, others  # before the next tile's are made
-    if single:
-        return complex(values[0]), partials[0]
     return values, partials
 
 

@@ -424,7 +424,7 @@ def test_finite_q_witness_is_stationary():
         for pat in range(3):
             p = SteinerPolynomial(system, random_signs(system, derive_seed(pat, "grid")))
             z = estimate_norm(p, 2.0, starts=8, seed=pat).witness
-            val, partials = value_and_partials(p, z)
+            (val,), (partials,) = value_and_partials(p, z[None])
             lagrange = 2 * p.k * abs(val) ** 2
             residual = 2 * val * np.conj(partials) - lagrange * z
             assert np.linalg.norm(residual) <= 1e-3 * lagrange

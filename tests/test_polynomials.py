@@ -64,15 +64,15 @@ def test_evaluate_empty_system():
 
 
 def test_partials_hand_value():
-    val, partials = value_and_partials(single_block(), np.array([1, 2, 3], dtype=complex))
-    assert val == 6
-    assert np.array_equal(partials, [6, 3, 2])
+    val, partials = value_and_partials(single_block(), np.array([[1, 2, 3]], dtype=complex))
+    assert np.array_equal(val, [6])
+    assert np.array_equal(partials, [[6, 3, 2]])
 
 
 def test_partials_zero_point():
     for p in (single_block(), two_blocks(), random_poly(9, 3, 4)):
-        val, partials = value_and_partials(p, np.zeros(p.n, dtype=complex))
-        assert val == 0
+        val, partials = value_and_partials(p, np.zeros((1, p.n), dtype=complex))
+        assert np.all(val == 0)
         assert np.all(partials == 0)
 
 
@@ -81,7 +81,7 @@ def test_partials_match_finite_differences():
     for case in range(100):
         p = random_poly(5 + case % 5, 3 if case % 2 else 4, case)
         z = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
-        val, partials = value_and_partials(p, z)
+        (val,), (partials,) = value_and_partials(p, z[None])
         ref = evaluate_compensated(p, z)
         assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
         fd = fd_partials(p, z)
@@ -168,8 +168,8 @@ def test_value_and_partials_batch_matches_rows():
         vals, partials = value_and_partials(p, pts)
         assert vals.shape == (len(pts),) and partials.shape == pts.shape
         scale = term_scale(p, pts)
-        for i, z in enumerate(pts):
-            val, part = value_and_partials(p, z)
+        for i in range(len(pts)):
+            (val,), (part,) = value_and_partials(p, pts[i:i + 1])
             assert np.array_equal(part, partials[i])
             assert abs(vals[i] - val) <= 1e-15 * scale[i]
 
@@ -214,11 +214,11 @@ def test_kernel_plan_built_on_first_use_and_cached():
 
 
 def test_value_and_partials_single_point_unchanged():
+    # a one-row batch against the former one-point kernel
     rng = np.random.default_rng(13)
     for p in (single_block(), two_blocks(), random_poly(9, 3, 4), random_poly(10, 4, 2)):
         z = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
-        val, partials = value_and_partials(p, z)
-        assert isinstance(val, complex) and partials.shape == (p.n,)
+        (val,), (partials,) = value_and_partials(p, z[None])
         ref_val, ref_partials = single_point_kernel(p, z)
         scale = term_scale(p, z[None, :])[0]
         assert abs(val - ref_val) <= 1e-15 * scale
@@ -227,15 +227,13 @@ def test_value_and_partials_single_point_unchanged():
 
 def test_kernel_shapes_empty_and_invalid():
     empty = SteinerPolynomial(PartialSteinerSystem(4, 3, 2, ()), np.zeros(0, dtype=np.int8))
-    val, partials = value_and_partials(empty, np.ones(4))
-    assert val == 0 and isinstance(val, complex) and np.array_equal(partials, np.zeros(4))
     vals, partials = value_and_partials(empty, np.ones((5, 4)))
     assert np.array_equal(vals, np.zeros(5)) and np.array_equal(partials, np.zeros((5, 4)))
     assert np.array_equal(evaluate_many(empty, np.ones((5, 4))), np.zeros(5))
     vals, partials = value_and_partials(two_blocks(), np.zeros((0, 5)))
     assert vals.shape == (0,) and partials.shape == (0, 5)
     assert evaluate_many(two_blocks(), np.zeros((0, 5))).shape == (0,)
-    for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 3, 5))):
+    for bad in (np.ones(5), np.ones(4), np.ones((2, 4)), np.ones((2, 3, 5))):
         with pytest.raises(ValidationError):
             value_and_partials(two_blocks(), bad)
     with pytest.raises(ValidationError):
@@ -449,5 +447,5 @@ def test_evaluate_compensated_large_support():
     rng = np.random.default_rng(1)
     z = (rng.standard_normal(247) + 1j * rng.standard_normal(247)) / 16
     direct = complex(np.sum(p.signs * np.prod(z[system.blocks_array()], axis=1)))
-    for val in (evaluate_compensated(p, z), value_and_partials(p, z)[0]):
+    for val in (evaluate_compensated(p, z), value_and_partials(p, z[None])[0][0]):
         assert abs(val - direct) <= 1e-9 * max(1.0, abs(direct))
