@@ -48,7 +48,7 @@ def _parse_q(text: str) -> float:
     if text.lower() in {"inf", "infinity", "oo"}:
         return inf
     value = float(text)
-    if value < 1:
+    if not value >= 1:  # NaN included
         raise ValidationError(f"q={text} outside [1, inf]")
     return value
 

@@ -103,6 +103,9 @@ def ratio_point(k: int, n: int, q, r, seed: int, budgets: Budgets | None = None)
         raise DomainError(f"operator pipeline needs k >= 3, got k={k}")
     if n < k:
         raise DomainError(f"need n >= k, got n={n}, k={k}")
+    for name, value in (("q", q), ("r", r)):
+        if not value >= 1:  # NaN included
+            raise DomainError(f"{name}={value} outside [1, inf]")
     budgets = budgets or Budgets()
     t0 = time.perf_counter()
 

@@ -107,8 +107,8 @@ def _align_burnin(p, z, q, sign_rows=None):
             break
         mods = np.abs(part)
         w = np.conj(part)
-        if q == inf:
-            z = np.where(mods > 0, w / np.maximum(mods, 1e-300), z)
+        if q == inf:  # a row whose partials vanish or are NaN stays put, without a warning
+            z = np.divide(w, np.maximum(mods, 1e-300), out=z.copy(), where=mods > 0)
         else:
             qp = q / (q - 1.0)
             z_new = w * np.maximum(mods, 1e-300) ** (qp - 2.0)

@@ -171,7 +171,11 @@ def _sign_runs(sign_rows, rows: slice):
 
 def _monomials(points: np.ndarray, cols) -> np.ndarray:
     """Products of the block coordinates, (N, n) points -> (N, m) monomials;
-    ``cols`` holds the k block columns."""
+    ``cols`` holds the k block columns.  numpy rounds a product of one element
+    otherwise than the same element of a longer array, so a single monomial is
+    computed as a row of two."""
+    if points.shape[0] * len(cols[0]) == 1:
+        return _monomials(points[[0, 0]], cols)[:1]
     acc = np.take(points, cols[0], axis=1)  # C order: the matvec's rounding follows layout
     for col in cols[1:]:
         acc *= np.take(points, col, axis=1)

@@ -309,6 +309,17 @@ def test_ratio_sweep_error_row_exits_one(tmp_path, capsys):
     assert (tmp_path / "sweep.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("q, r", [("inf", "nan"), ("nan", "inf")])
+def test_ratio_sweep_rejects_a_nan_exponent(tmp_path, capsys, q, r):
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run(capsys, "ratio", "sweep", "--k", "3", "--q", q, "--r", r,
+                               "--n", "7,9,13", "--seeds", "0", "--out", str(out),
+                               "--rounds", "2", "--starts", "2", "--iters", "100",
+                               "--search-starts", "1", "--search-iters", "50")
+    assert code == 1 and stdout == "" and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_plot_markers_and_slope(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     write_power_law_csv(path)

@@ -1,6 +1,6 @@
 import csv
 import math
-from math import inf, log
+from math import inf, log, nan
 
 import pytest
 
@@ -50,6 +50,12 @@ def test_ratio_point_q2_scaling_arithmetic():
     rec = ratio_point(3, 7, 2.0, 2.0, 0, FAST)
     # floor numerator |S| * n^{-k/r} = 7 * 7^{-3/2} = 7^{-1/2}
     assert abs(rec.floor_ratio * rec.norm_est - 7 ** -0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("q, r", [(nan, inf), (inf, nan), (0.5, inf), (inf, 0.0)])
+def test_ratio_point_rejects_exponents_outside_one_to_inf(q, r):
+    with pytest.raises(DomainError):
+        ratio_point(3, 7, q, r, 0, FAST)
 
 
 def test_ratio_point_k4_flagged_and_normalized():

@@ -322,6 +322,28 @@ def test_line_search_discards_only_on_values_up_to_the_step_taken(caplog, poison
         assert np.array_equal(iters, clean[2]) and (iters == 5).all()
 
 
+@pytest.mark.parametrize("q", [inf, 2.0, 1.5, 3.0])
+@pytest.mark.parametrize("system", [skolem_construct(13), greedy_construct(10, 4, 2)],
+                         ids=["sts13", "greedy10-4"])
+def test_line_search_pass_widths_change_only_the_cost(monkeypatch, system, q):
+    # every row takes the first passing step of the same list, however it is cut into passes
+    single = SteinerPolynomial(system, random_signs(system, 8))
+    fam, seeds = family(system, 3, seed=2)
+
+    def runs():
+        return [estimate_norm(p, q, starts=4, max_iters=200, seed=seed)
+                for p, seed in ((single, 5), (fam, seeds))]
+
+    reference = runs()
+    for chunk, first_max in ((1, 1), (64, 64), (3, 5)):
+        monkeypatch.setattr(norms, "_LS_CHUNK", chunk)
+        monkeypatch.setattr(norms, "_LS_FIRST_MAX", first_max)
+        for est, ref in zip(runs(), reference):
+            assert np.asarray(est.value).tobytes() == np.asarray(ref.value).tobytes(), chunk
+            assert est.witness.tobytes() == ref.witness.tobytes(), chunk
+            assert est.iterations == ref.iterations, chunk
+
+
 # ---------------------------------------------------------------------------
 # families: one estimate_norm call over R sign rows on one support
 # ---------------------------------------------------------------------------

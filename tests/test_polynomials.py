@@ -9,8 +9,8 @@ from steinervn.designs import PartialSteinerSystem, greedy_construct, skolem_con
 from steinervn.errors import DomainError, ValidationError
 from steinervn.operators import build_operators
 from steinervn.polynomials import (SEARCH_TOL, TILE_MONOMIALS, Budgets, SteinerPolynomial,
-                                   best_of_signs, evaluate_compensated, evaluate_many,
-                                   load_polynomial, random_signs, relabel,
+                                   best_of_signs, block_terms, evaluate_compensated,
+                                   evaluate_many, load_polynomial, random_signs, relabel,
                                    save_polynomial, value_and_partials)
 from steinervn.norms import estimate_norm, ksz_polydisk_bound
 from steinervn.seeding import derive_seed
@@ -200,6 +200,21 @@ def test_evaluate_many_one_row_call_gives_the_bits_of_the_row_in_a_batch():
     batch = evaluate_many(p, pts)
     for i in range(len(pts)):
         assert evaluate_many(p, pts[i:i + 1])[0] == batch[i], i
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_one_block_kernels_give_a_one_row_call_the_bits_of_the_row_in_a_batch(k):
+    # numpy rounds a product of one element otherwise than inside a longer array,
+    # so on one block a one-row call computes its monomial as a row of two
+    p = SteinerPolynomial(PartialSteinerSystem(k, k, k - 1, (tuple(range(k)),)), np.array([-1]))
+    pts = np.exp(1j * np.random.default_rng(18).uniform(0.0, 2.0 * np.pi, (200, k)))
+    values, terms = evaluate_many(p, pts), block_terms(p, pts)
+    vals, partials = value_and_partials(p, pts)
+    for i in range(len(pts)):
+        assert evaluate_many(p, pts[i:i + 1])[0] == values[i], i
+        assert np.array_equal(block_terms(p, pts[i:i + 1])[0], terms[i]), i
+        (val,), (part,) = value_and_partials(p, pts[i:i + 1])
+        assert val == vals[i] and np.array_equal(part, partials[i]), i
 
 
 def test_kernel_plan_built_on_first_use_and_cached():
