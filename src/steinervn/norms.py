@@ -1,8 +1,9 @@
 """Sup-norm estimation on l_q balls, a brute-force oracle, analytic bounds.
 
-estimate_norm produces certified LOWER bounds: the returned value is the
-modulus of the polynomial at an explicit witness point inside the unit
-ball, recomputed with compensated summation independently of the optimizer.
+estimate_norm produces certified LOWER bounds: the returned value is a lower
+bound, in IEEE-754 arithmetic, of the modulus of the polynomial at an
+explicit witness point inside the closed unit ball, recomputed with
+compensated summation independently of the optimizer.
 Upper bounds are analytic only (see analytic_bounds).
 """
 
@@ -37,10 +38,13 @@ KSZ_CONSTANT = 8.0
 class NormEstimate:
     """Certified lower bound of a sup-norm with its witness point.
 
-    value equals |p(witness)| under independent compensated re-evaluation,
-    and the witness satisfies ||witness||_q <= 1 + 1e-12.  The estimate of a
-    family holds value (R,), witness (R, n) and seed (R,), one entry per
-    sign row, with starts and iterations summed over the rows.
+    value is a lower bound of |p(witness)| in IEEE-754 arithmetic, from an
+    independent compensated re-evaluation less an a-priori bound on its
+    rounding, and the witness lies in the closed unit q-ball: its computed
+    q-norm is at most 1 less an a-priori bound on that norm's rounding (see
+    _certified).  The estimate of a family holds value (R,), witness (R, n)
+    and seed (R,), one entry per sign row, with starts and iterations summed
+    over the rows.
     """
 
     value: float
@@ -408,18 +412,65 @@ def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None):
                           sign_rows)
 
 
+def _qnorm_error(q, n):
+    """A-priori bound on the relative rounding error of qnorm on n coordinates.
+
+    With u = 2^-53, each modulus rounds by at most 4u (numpy's vector loop;
+    libm's hypot is within one ulp, 2u), and that is all at q = inf.  At
+    finite q the division by the largest modulus adds u and the final
+    product u; the power and the root (libm's pow, within one ulp) 2u / q
+    and 2u; the rounded exponent 1/q at most u ln(n) / q; and the sum of the
+    n powers, each at most 1, at most (n - 1) u / q (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1).  That is
+    (8 + (n + 1 + ln n) / q) u to first order; the bound adds (4 + 1/q) u.
+    """
+    u = 2.0 ** -53
+    return 4 * u if q == inf else (12 + (n + 2 + log(max(n, 1))) / q) * u
+
+
+def _certified(p, witness, q):
+    """(inside, values) at witness rows (R, n), one per sign row for a family.
+
+    A row is inside the closed unit q-ball when its computed q-norm is at
+    most 1 - _qnorm_error(q, n), for then its exact norm is at most 1.  Its
+    value is a lower bound of |p| at the row in IEEE-754 arithmetic: with S
+    the fsum of the rounded signed terms t_J, |p - S| <= 3 k u sum_J |t_J|
+    + k m 2^-1073, since each of the k - 1 complex products of a term
+    rounds by a relative sqrt(2) gamma_2 < 3u at most (Higham, 3.6), fsum
+    rounds correctly, and underflow adds at most 2^-1074 per rounding.  |S|
+    is taken with Python's abs (libm's hypot) and lowered by a relative 5u,
+    which covers that modulus and the rounding of the subtraction.
+    """
+    u = 2.0 ** -53
+    inside = qnorm(witness, q) <= 1.0 - _qnorm_error(q, p.n)
+    sums = np.atleast_1d(evaluate_compensated(p, witness if p.is_family else witness[0]))
+    terms = block_terms(p, witness, np.arange(len(witness)) if p.is_family else None)
+    slack = [3 * p.k * u * math.fsum(moduli) + p.k * p.num_terms * 2.0 ** -1073
+             for moduli in np.abs(terms)]
+    values = [max(0.0, abs(complex(s)) * (1.0 - 5 * u) - e) for s, e in zip(sums, slack)]
+    return inside, np.array(values)
+
+
 def _certify(p, witness, q, method, starts, iterations, seed):
     """NormEstimate of p at its witness, rows (R, n): one row for one polynomial, one per
-    sign row for a family, whose seeds are (R,)."""
+    sign row for a family, whose seeds are (R,).
+
+    Each row is scaled by (1 - 3e - 4u) / (its computed q-norm), with e =
+    _qnorm_error(q, n) and u = 2^-53.  The division and the product round
+    by at most 2u, so the computed norm of the result is at most
+    (1 - 3e - 4u)(1 + 2u)(1 + e) / (1 - e) <= 1 - e, and _certified finds
+    it inside the ball, as it checks.
+    """
+    shrink = 1.0 - 3.0 * _qnorm_error(q, p.n) - 4 * 2.0 ** -53
     nrm = qnorm(witness, q)
-    over = nrm > 1.0 + 1e-12
-    witness = np.where(over[:, None], witness / np.where(over, nrm, 1.0)[:, None], witness)
-    values = evaluate_compensated(p, witness if p.is_family else witness[0])
-    values = [abs(complex(v)) for v in np.atleast_1d(values)]  # Python's abs: libm's hypot
+    witness = witness * (shrink / np.where(nrm > 0.0, nrm, 1.0))[:, None]
+    inside, values = _certified(p, witness, q)
+    if not inside.all():
+        raise ConvergenceError("a scaled witness lies outside the unit q-ball")
     q = float(q) if q != inf else inf
     if p.is_family:
-        return NormEstimate(np.array(values), q, witness, method, starts, iterations, tuple(seed))
-    return NormEstimate(values[0], q, witness[0], method, starts, iterations, seed)
+        return NormEstimate(values, q, witness, method, starts, iterations, tuple(seed))
+    return NormEstimate(float(values[0]), q, witness[0], method, starts, iterations, seed)
 
 
 def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
@@ -484,14 +535,15 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
 
 
 def recertify(p: SteinerPolynomial, est: NormEstimate) -> bool:
-    """Independent check of both NormEstimate invariants, the value to a relative 1e-10.
+    """Independent check of both NormEstimate invariants: every witness row is inside the
+    closed unit q-ball, and the value is the certified lower bound recomputed at it, to a
+    relative 1e-10 (see _certified).
 
     A family's estimate passes only if every sign row's does.
     """
-    if np.any(qnorm(est.witness, est.q) > 1.0 + 1e-12):
-        return False
-    value = np.abs(evaluate_compensated(p, est.witness))
-    return bool(np.all(np.abs(value - est.value) <= 1e-10 * np.maximum(1.0, np.abs(est.value))))
+    inside, values = _certified(p, np.atleast_2d(est.witness), est.q)
+    return bool(inside.all() and np.all(np.abs(values - est.value)
+                                        <= 1e-10 * np.maximum(1.0, np.abs(est.value))))
 
 
 # ---------------------------------------------------------------------------

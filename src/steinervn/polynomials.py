@@ -94,7 +94,7 @@ class _KernelPlan:
 
     def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
         self.cols = [np.ascontiguousarray(blocks[:, i]) for i in range(blocks.shape[1])]
-        self.signs = signs.reshape(-1, len(blocks)).astype(np.float64)
+        self.signs = np.atleast_2d(signs).astype(np.float64)
         self._n = n
         self._bins = np.empty((blocks.shape[1], 0, 2 * len(blocks)), dtype=np.int64)
         self._incidence = None

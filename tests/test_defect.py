@@ -58,6 +58,16 @@ def test_ratio_point_rejects_exponents_outside_one_to_inf(q, r):
         ratio_point(3, 7, q, r, 0, FAST)
 
 
+@pytest.mark.parametrize("seed, budgets", [
+    (5, Budgets(rounds=1, starts=2, iters=40, search_starts=1, search_iters=20)),
+    (0, Budgets())], ids=["tiny-budgets", "default-budgets"])
+def test_certified_norm_never_exceeds_the_block_count(seed, budgets):
+    # |p| <= 7 on the polydisk for 7 unimodular terms, and on STS(7) the sup reaches 7:
+    # certifying the modulus of a rounded sum at moduli rounded to 1 gave 7.000000000000001
+    rec = ratio_point(3, 7, inf, inf, seed, budgets)
+    assert rec.num_blocks == 7 and rec.norm_est <= 7.0, rec.norm_est
+
+
 def test_ratio_point_k4_flagged_and_normalized():
     rec = ratio_point(4, 10, inf, inf, 0, FAST)
     assert rec.normalized_flag

@@ -65,7 +65,7 @@ def test_estimate_witness_invariants():
     for q in (1.0, 2.0, 3.0, inf):
         p = seeded_poly(8, 3, 4)
         est = estimate_norm(p, q, starts=4, seed=1)
-        assert qnorm(est.witness, q) <= 1.0 + 1e-12
+        assert qnorm(est.witness, q) <= 1.0
         assert recertify(p, est)
 
 
@@ -177,10 +177,10 @@ def test_burnin_below_q2_keeps_rows_whose_norm_underflows():
 # these, and so does one accepted Newton step at q = inf.  Computed with numpy's
 # bundled OpenBLAS on x86-64.
 PINNED_DEFAULT_ESTIMATES = [
-    (25, inf, 0, "0x1.fce44b065abf8p+5", 918, "f8a3ca3e0c2426f3"),
-    (25, inf, 1, "0x1.f124fb01d6f36p+5", 1089, "72ffe27068b76df8"),
-    (49, 2.0, 0, "0x1.2d228fecc1004p-1", 347, "3cf564b042e6b35c"),
-    (49, 2.0, 1, "0x1.2f6249e1ba0f2p-1", 189, "25a7107b0d46ed59"),
+    (25, inf, 0, "0x1.fce44b065abb0p+5", 918, "a1a704e62b5f106f"),
+    (25, inf, 1, "0x1.f124fb01d6eefp+5", 1089, "c6e43cb4b02ccc6a"),
+    (49, 2.0, 0, "0x1.2d228fecc0f21p-1", 347, "381ae63c07a6eea2"),
+    (49, 2.0, 1, "0x1.2f6249e1ba009p-1", 189, "f4ffc1bde2b39318"),
 ]
 
 

@@ -101,7 +101,7 @@ def test_estimate_below_the_l2_flattening_ceiling(system, data):
     # norm is its largest row norm, sqrt(r_max / (k k!)), with r_max the largest
     # number of blocks through one point.  That bounds |p| on the unit l2 ball, and
     # ||z||_2 <= n^(1/2 - 1/q) ||z||_q carries it to q >= 2.  The witness lies in
-    # the ball up to rounding, hence the 1e-12.
+    # the ball; the 1e-12 covers the rounding of the ceiling.
     q = data.draw(st.sampled_from([2.0, 3.0]))
     p = signed(system, data)
     k, n = system.k, system.n
