@@ -413,16 +413,14 @@ def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None):
 
 
 def _qnorm_error(q, n):
-    """A-priori bound on the relative rounding error of qnorm on n coordinates.
+    """A-priori bound on the relative rounding of qnorm on n coordinates, u = 2^-53.
 
-    With u = 2^-53, each modulus rounds by at most 4u (numpy's vector loop;
-    libm's hypot is within one ulp, 2u), and that is all at q = inf.  At
-    finite q the division by the largest modulus adds u and the final
-    product u; the power and the root (libm's pow, within one ulp) 2u / q
-    and 2u; the rounded exponent 1/q at most u ln(n) / q; and the sum of the
-    n powers, each at most 1, at most (n - 1) u / q (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.1).  That is
-    (8 + (n + 1 + ln n) / q) u to first order; the bound adds (4 + 1/q) u.
+    A modulus rounds by at most 4u (libm's hypot: 2u), the whole at q = inf.
+    At finite q add u each for the division by the largest modulus and the
+    last product, 2u for the root and 2u / q for each power (libm's pow),
+    u ln(n) / q for the rounded 1/q, and (n - 1) u / q for the sum of the
+    powers, each at most 1 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1): the bound keeps (4 + 1/q) u for second order.
     """
     u = 2.0 ** -53
     return 4 * u if q == inf else (12 + (n + 2 + log(max(n, 1))) / q) * u
@@ -432,14 +430,12 @@ def _certified(p, witness, q):
     """(inside, values) at witness rows (R, n), one per sign row for a family.
 
     A row is inside the closed unit q-ball when its computed q-norm is at
-    most 1 - _qnorm_error(q, n), for then its exact norm is at most 1.  Its
-    value is a lower bound of |p| at the row in IEEE-754 arithmetic: with S
-    the fsum of the rounded signed terms t_J, |p - S| <= 3 k u sum_J |t_J|
-    + k m 2^-1073, since each of the k - 1 complex products of a term
-    rounds by a relative sqrt(2) gamma_2 < 3u at most (Higham, 3.6), fsum
-    rounds correctly, and underflow adds at most 2^-1074 per rounding.  |S|
-    is taken with Python's abs (libm's hypot) and lowered by a relative 5u,
-    which covers that modulus and the rounding of the subtraction.
+    most 1 - _qnorm_error(q, n).  Its value is a lower bound of |p| there
+    in IEEE-754 arithmetic: the fsum S of the signed terms t_J is within
+    3 k u sum |t_J| + k m 2^-1073 of p, since each of a term's k - 1 complex
+    products rounds by at most sqrt(2) gamma_2 < 3u (Higham, 3.6), fsum
+    rounds correctly, and an underflow adds at most 2^-1074; and |S|, by
+    Python's abs, is lowered by 5u for its own rounding and the subtraction's.
     """
     u = 2.0 ** -53
     inside = qnorm(witness, q) <= 1.0 - _qnorm_error(q, p.n)
@@ -452,15 +448,10 @@ def _certified(p, witness, q):
 
 
 def _certify(p, witness, q, method, starts, iterations, seed):
-    """NormEstimate of p at its witness, rows (R, n): one row for one polynomial, one per
-    sign row for a family, whose seeds are (R,).
-
-    Each row is scaled by (1 - 3e - 4u) / (its computed q-norm), with e =
-    _qnorm_error(q, n) and u = 2^-53.  The division and the product round
-    by at most 2u, so the computed norm of the result is at most
-    (1 - 3e - 4u)(1 + 2u)(1 + e) / (1 - e) <= 1 - e, and _certified finds
-    it inside the ball, as it checks.
-    """
+    """NormEstimate of p at its witness rows (R, n): one for one polynomial, one per sign
+    row of a family, whose seeds are (R,).  Each row is scaled by (1 - 3e - 4u) over its
+    computed q-norm, e = _qnorm_error(q, n); with the 2u of the division and product,
+    its computed norm is then at most (1 - 3e - 4u)(1 + 2u)(1 + e) / (1 - e) <= 1 - e."""
     shrink = 1.0 - 3.0 * _qnorm_error(q, p.n) - 4 * 2.0 ** -53
     nrm = qnorm(witness, q)
     witness = witness * (shrink / np.where(nrm > 0.0, nrm, 1.0))[:, None]
