@@ -433,17 +433,18 @@ def _certified(p, witness, q):
     most 1 - _qnorm_error(q, n).  Its value is a lower bound of |p| there
     in IEEE-754 arithmetic: the fsum S of the signed terms t_J is within
     3 k u sum |t_J| + k m 2^-1073 of p, since each of a term's k - 1 complex
-    products rounds by at most sqrt(2) gamma_2 < 3u (Higham, 3.6), fsum
-    rounds correctly, and an underflow adds at most 2^-1074; and |S|, by
-    Python's abs, is lowered by 5u for its own rounding and the subtraction's.
+    products rounds by at most sqrt(2) gamma_2 < 2.83u (Higham, 3.6), fsum
+    rounds correctly, and an underflow adds at most 2^-1074; the margin to
+    3u covers the rounding of the computed sum |t_J| for m below 10^14.
+    |S|, by Python's abs, is lowered by 5u for its own rounding and the
+    subtraction's.
     """
     u = 2.0 ** -53
     inside = qnorm(witness, q) <= 1.0 - _qnorm_error(q, p.n)
     sums = np.atleast_1d(evaluate_compensated(p, witness if p.is_family else witness[0]))
     terms = block_terms(p, witness, np.arange(len(witness)) if p.is_family else None)
-    slack = [3 * p.k * u * math.fsum(moduli) + p.k * p.num_terms * 2.0 ** -1073
-             for moduli in np.abs(terms)]
-    values = [max(0.0, abs(complex(s)) * (1.0 - 5 * u) - e) for s, e in zip(sums, slack)]
+    slack = 3 * p.k * u * np.abs(terms).sum(axis=1) + p.k * p.num_terms * 2.0 ** -1073
+    values = [max(0.0, abs(complex(s)) * (1.0 - 5 * u) - e) for s, e in zip(sums, slack.tolist())]
     return inside, np.array(values)
 
 

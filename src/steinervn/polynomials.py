@@ -194,7 +194,7 @@ def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
         raise ValidationError(f"points array has shape {points.shape}, expected "
                               f"({len(p.signs)}, {p.n}): one point per sign row")
     terms = np.atleast_2d(p.signs) * _monomials(points, p.system.blocks_array().T)
-    values = [complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms]
+    values = [complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist())) for t in terms]
     return np.array(values) if p.is_family else values[0]
 
 

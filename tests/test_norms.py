@@ -174,8 +174,9 @@ def test_burnin_below_q2_keeps_rows_whose_norm_underflows():
 # q = 2, two sign patterns each, pinned to the bit: (n, q, seed, value.hex(),
 # iterations, first 16 hex digits of the SHA-256 of the witness's bytes).  A
 # change to the line search or the kernels that moves one accepted step moves
-# these, and so does one accepted Newton step at q = inf.  Computed with numpy's
-# bundled OpenBLAS on x86-64.
+# these, and so does one accepted Newton step at q = inf or a change to the
+# certificate rule (the scaling of the witness and the rounding bound taken off
+# its value).  Computed with numpy's bundled OpenBLAS on x86-64.
 PINNED_DEFAULT_ESTIMATES = [
     (25, inf, 0, "0x1.fce44b065abb0p+5", 918, "a1a704e62b5f106f"),
     (25, inf, 1, "0x1.f124fb01d6eefp+5", 1089, "c6e43cb4b02ccc6a"),
