@@ -21,8 +21,14 @@ from .seeding import rng_for
 
 # Above this many candidate k-subsets the greedy stops enumerating and
 # falls back to streaming rejection sampling (memory bound: the enumeration
-# holds every candidate plus an int64 permutation of them, 80 MB at the limit).
+# holds the int64 permutation of the candidate ranks, 80 MB at the limit, plus
+# one chunk of unranked candidates; no array of all candidates is built).
 ENUMERATION_LIMIT = 10**7
+
+# Candidates unranked and screened together by greedy_construct: the first
+# chunk is small, since early on nearly every candidate survives the screen and
+# is then checked one by one; chunks double up to the last size.
+_CHUNK_SIZES = (64, 1 << 12)
 
 
 @dataclass
@@ -107,6 +113,51 @@ def cardinality_bound_holds(system: PartialSteinerSystem) -> bool:
     return system.num_blocks * comb(system.k, system.t) <= comb(system.n, system.t)
 
 
+def binomial_table(n: int, k: int) -> np.ndarray:
+    """(k+1, n) int64 table of C(c, i) for i <= k and c < n, capped at max(C(n, k), C(n, k-1)).
+
+    Every rank of a k-subset and of a (k-1)-subset of range(n) lies below the
+    cap, so capped entries change neither a search for a rank nor a rank sum.
+    """
+    cap = max(comb(n, k), comb(n, k - 1))
+    return np.array([[min(comb(c, i), cap) for c in range(n)] for i in range(k + 1)],
+                    dtype=np.int64)
+
+
+def unrank_lex(ranks, n: int, k: int, table: np.ndarray) -> np.ndarray:
+    """Sorted k-subsets of range(n) with the given lexicographic ranks, one row each.
+
+    The lexicographic rank r of S is C(n, k) - 1 - r' with r' the colex rank
+    of the mirrored set {n-1-x : x in S}; the mirrored elements come out
+    largest first, by one searchsorted over C(., i) for each i = k, ..., 1.
+    ``table`` is ``binomial_table(n, k)``.
+    """
+    rest = comb(n, k) - 1 - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(rest), k), dtype=np.int64)
+    for i in range(k, 0, -1):
+        c = np.searchsorted(table[i], rest, side="right") - 1
+        rest = rest - table[i, c]
+        out[:, k - i] = n - 1 - c
+    return out
+
+
+def _face_ranks(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Colex ranks of the (k-1)-subsets of each sorted block; column p drops element p.
+
+    The rank of {x_0 < ... < x_{k-2}} is sum_j C(x_j, j+1).  Dropping x_p keeps
+    the place j of every x_j with j < p and moves every x_j with j > p down one,
+    so the rank is sum_j C(x_j, j) + sum_{j<p} (C(x_j, j+1) - C(x_j, j)) - C(x_p, p).
+    """
+    places = np.arange(blocks.shape[1])
+    moved = table[places, blocks]
+    faces = table[places + 1, blocks]
+    faces -= moved
+    faces = np.cumsum(faces, axis=1) - faces
+    faces -= moved
+    faces += moved.sum(axis=1, keepdims=True)
+    return faces
+
+
 def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
     """Maximal partial Steiner system with t = k-1 by seeded random greedy.
 
@@ -116,6 +167,13 @@ def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
     Deterministic for fixed (n, k, seed); blocks are returned in lexicographic
     order.
 
+    The permutation is walked in chunks that double in size (_CHUNK_SIZES).  A
+    chunk is unranked at once (unrank_lex) and every candidate with a
+    (k-1)-subset already marked in a boolean array over their colex ranks is
+    dropped; the survivors are then accepted one by one in visiting order,
+    since two of them can still share a (k-1)-subset.  Above
+    ENUMERATION_LIMIT candidates a streaming rejection sampler runs instead.
+
     k=2 is allowed and yields a maximal partial matching (t=1).
     """
     if k < 2:
@@ -124,28 +182,30 @@ def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
         raise DomainError(f"block size k={k} exceeds ground set size n={n}")
     total = comb(n, k)
     rng = rng_for(seed, "greedy", n, k)
-    used = set()
     accepted = []
 
-    def try_add(block):
-        subs = list(combinations(block, k - 1))
-        if any(s in used for s in subs):
-            return False
-        used.update(subs)
-        accepted.append(block)
-        return True
-
     if total <= ENUMERATION_LIMIT:
-        # combinations() yields the k-subsets in lexicographic rank order.
-        subsets = np.fromiter(combinations(range(n), k), count=total,
-                              dtype=np.dtype((np.min_scalar_type(n - 1), k)))
+        table = binomial_table(n, k)
+        # one flag per (k-1)-subset, by colex rank: read per survivor in Python,
+        # and through the numpy view marked for a whole chunk at once
+        used = bytearray(comb(n, k - 1))
+        marked = np.frombuffer(used, dtype=bool)
         order = rng.permutation(total)
-        for lo in range(0, total, 4096):
-            for block in map(tuple, subsets[order[lo:lo + 4096]].tolist()):
-                try_add(block)
+        lo, size = 0, _CHUNK_SIZES[0]
+        while lo < total:
+            blocks = unrank_lex(order[lo:lo + size], n, k, table)
+            faces = _face_ranks(blocks, table)
+            fresh = ~marked[faces].any(axis=1)
+            for block, subs in zip(blocks[fresh].tolist(), faces[fresh].tolist()):
+                if not any(used[s] for s in subs):
+                    for s in subs:
+                        used[s] = 1
+                    accepted.append(tuple(block))
+            lo, size = lo + size, min(2 * size, _CHUNK_SIZES[1])
     else:
         # Streaming fallback: rejection sampling without full enumeration.
         # Maximality is not certified on this path.
+        used = set()
         misses = 0
         tried = set()
         while misses < 200 * n:
@@ -154,10 +214,13 @@ def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
                 misses += 1
                 continue
             tried.add(block)
-            if try_add(block):
-                misses = 0
-            else:
+            subs = list(combinations(block, k - 1))
+            if any(s in used for s in subs):
                 misses += 1
+            else:
+                used.update(subs)
+                accepted.append(block)
+                misses = 0
 
     accepted.sort()
     return PartialSteinerSystem(n, k, k - 1, tuple(accepted))

@@ -46,6 +46,10 @@ from .seeding import rng_for
 # raises OverflowError for any product whose bound reaches it.
 _OVERFLOW_GUARD = 1 << 62
 
+# Entries a chunk of blocks starts from in apply_polynomial's batched walk,
+# which bounds its working arrays when the vector is dense.
+_WALK_ENTRIES = 1 << 16
+
 # Cap on the power steps linear_combination_sup spends on one block per
 # alternation step; warm-started blocks settle in far fewer.
 _POWER_STEPS = 1000
@@ -107,7 +111,7 @@ def _from_triples(dim, flat) -> sparse.csc_array:
 
 @dataclass
 class OperatorTuple:
-    """n int64 sparse operators sharing one basis, plus a lazily applied scale.
+    """n int64 csc_array operators sharing one basis, plus a lazily applied scale.
 
     polynomial is the one the tuple realizes, read by every p(T) routine.  The
     scale multiplies each operator at evaluation time only: structure checks
@@ -266,26 +270,61 @@ def operator_norm(a: sparse.csc_array) -> float:
     return math.sqrt(row_sq.max(initial=0.0))
 
 
+def _through(ops, which, owner, rows, vals):
+    """Move batch entry i, value vals[i] at row rows[i], through ops[which[i]].
+
+    An entry becomes one entry per nonzero in column rows[i] of its operator,
+    read from the CSC arrays: none for an empty column, several for a column
+    with several nonzeros.  owner follows each entry.
+    """
+    if not len(which):
+        return owner, rows, vals
+    order = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[order], np.arange(len(ops) + 1))
+    parts = []
+    for j in np.flatnonzero(np.diff(bounds)):
+        sel = order[bounds[j]:bounds[j + 1]]
+        indptr = ops[j].indptr
+        start = indptr[rows[sel]]
+        count = indptr[rows[sel] + 1] - start
+        pos = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        parts.append((np.repeat(owner[sel], count), ops[j].indices[pos],
+                      np.repeat(vals[sel], count) * ops[j].data[pos]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def apply_polynomial(t: OperatorTuple, vector) -> np.ndarray:
     """p(T) v = scale^k sum_B sign(B) T_{b_1} ... T_{b_k} v for the tuple's own p.
 
-    Works in the vector's dtype promoted with int64: an integer vector gives
-    the exact integer image when scale == 1, and a complex vector stays
-    complex.  The result is multiplied by scale^k only when scale != 1.
+    All blocks are walked at once: a batch holds one (block, row, value) entry
+    per nonzero of v for each block and moves through T_{b_k}, ..., T_{b_1}
+    (see _through); the signed values are then added into the image with
+    np.add.at.  Blocks are taken in chunks so that a batch starts from about
+    _WALK_ENTRIES entries.  Works in the vector's dtype promoted with int64:
+    an integer vector gives the exact integer image when scale == 1, and a
+    complex vector stays complex.  The result is multiplied by scale^k only
+    when scale != 1.
     """
     vector = np.asarray(vector)
     if vector.shape != (t.dim,):
         raise ValidationError(f"vector has shape {vector.shape}, expected ({t.dim},)")
     vector = vector.astype(np.result_type(vector, np.int64), copy=False)
-    acc = np.zeros_like(vector)
-    for block, sign in zip(t.polynomial.system.blocks, t.polynomial.signs.tolist()):
-        w = vector
-        for j in block:
-            w = t.ops[j] @ w
-        acc += sign * w
+    image = np.zeros_like(vector)
+    blocks = t.polynomial.system.blocks_array()
+    signs = t.polynomial.signs
+    support = np.flatnonzero(vector)
+    per_chunk = max(1, _WALK_ENTRIES // max(support.size, 1))
+    for lo in range(0, len(blocks), per_chunk):
+        chunk = np.arange(lo, min(lo + per_chunk, len(blocks)))
+        owner = np.repeat(chunk, support.size)
+        rows = np.tile(support, len(chunk))
+        vals = vector[rows]
+        for step in range(t.k - 1, -1, -1):
+            owner, rows, vals = _through(t.ops, blocks[owner, step], owner, rows, vals)
+        np.add.at(image, rows, vals * signs[owner])
     if t.scale != 1.0:
-        acc = acc * t.scale ** t.k
-    return acc
+        image = image * t.scale ** t.k
+    return image
 
 
 def sink_image(t: OperatorTuple) -> tuple:

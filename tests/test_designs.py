@@ -1,14 +1,18 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from steinervn import designs
-from steinervn.designs import (PartialSteinerSystem, bose_construct,
-                               cardinality_bound_holds, density_report,
-                               greedy_construct, is_exact_cover, load_system,
+from steinervn.designs import (PartialSteinerSystem, binomial_table,
+                               bose_construct, cardinality_bound_holds,
+                               density_report, greedy_construct,
+                               is_exact_cover, load_system,
                                packing_density_target, save_system,
-                               skolem_construct, verify, verify_system)
+                               skolem_construct, unrank_lex, verify,
+                               verify_system)
 from steinervn.errors import DomainError, ValidationError
 from steinervn.seeding import rng_for
 
@@ -156,10 +160,29 @@ def reference_greedy_blocks(n, k, seed):
     return tuple(sorted(accepted))
 
 
-@pytest.mark.parametrize("n,k", [(26, 4), (34, 4), (20, 3), (50, 3), (9, 5)])
+@pytest.mark.parametrize("n,k", [(5, 5), (7, 2), (9, 4), (12, 3)])
+def test_unrank_lex_follows_combinations_order(n, k):
+    table = binomial_table(n, k)
+    blocks = unrank_lex(np.arange(comb(n, k)), n, k, table)
+    assert [tuple(b) for b in blocks.tolist()] == list(combinations(range(n), k))
+    assert unrank_lex(np.zeros(0, dtype=np.int64), n, k, table).shape == (0, k)
+
+
+@pytest.mark.parametrize("n,k", [(26, 4), (34, 4), (42, 4), (20, 3), (50, 3), (9, 5)])
 def test_greedy_matches_unranking_reference(n, k):
     for seed in (0, 1, 2):
         assert greedy_construct(n, k, seed).blocks == reference_greedy_blocks(n, k, seed)
+
+
+def test_greedy_enumeration_holds_no_candidate_array():
+    # ENUMERATION_LIMIT's memory bound: the int64 permutation of the ranks plus one chunk
+    tracemalloc.start()
+    try:
+        greedy_construct(60, 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * comb(60, 4) + 4_000_000
 
 
 def test_greedy_streaming_fallback(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import reduce
 from itertools import permutations
 from math import comb, inf
@@ -9,6 +10,7 @@ from scipy import sparse
 
 from steinervn.designs import (PartialSteinerSystem, greedy_construct,
                                skolem_construct)
+from steinervn import operators
 from steinervn.errors import DomainError, ValidationError
 from steinervn.norms import estimate_norm
 from steinervn.operators import (OperatorTuple, apply_polynomial, build_basis,
@@ -325,6 +327,39 @@ def test_apply_polynomial_scale():
             if np.issubdtype(v.dtype, np.integer):  # unscaled, the integer image is exact
                 assert np.array_equal(apply_polynomial(t, v),
                                       np.rint(dense_polynomial(p, t, 1.0) @ v).astype(np.int64))
+
+
+@pytest.mark.parametrize("walk_entries", [1 << 16, 1])
+def test_apply_polynomial_walks_general_matrices(monkeypatch, walk_entries):
+    # operators no build produces, as load_tuple can give: T_0 has two nonzeros in
+    # column 3 and T_1 none, and the T_l do not commute, so the order is checked too;
+    # walk_entries = 1 walks one block per chunk
+    monkeypatch.setattr(operators, "_WALK_ENTRIES", walk_entries)
+    system = PartialSteinerSystem(5, 3, 2, ((0, 1, 2), (0, 3, 4)))
+    p = SteinerPolynomial(system, np.array([1, -1]))
+    basis = build_basis(5, 3)
+    rng = np.random.default_rng(3)
+    dense = rng.integers(-2, 3, (5, basis.dim, basis.dim)) * (rng.random((5, basis.dim, basis.dim)) < 0.4)
+    dense[0, :, 3] = 0
+    dense[0, [2, 7], 3] = (1, -2)
+    dense[1, :, 3] = 0
+    assert not np.array_equal(dense[0] @ dense[1], dense[1] @ dense[0])
+    t = OperatorTuple(basis, [sparse.csc_array(d) for d in dense], p)
+    assert np.diff(t.ops[0].indptr)[3] == 2 and np.diff(t.ops[1].indptr)[3] == 0
+    exact = sum(sign * dense[a] @ dense[b] @ dense[c] for (a, b, c), sign in zip(system.blocks, (1, -1)))
+    reference = dense_polynomial(p, t, 1.0)
+    for v in (rng.integers(-9, 10, basis.dim), rng.standard_normal(basis.dim),
+              rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)):
+        image = apply_polynomial(t, v)
+        assert image.dtype == v.dtype
+        if v.dtype == np.int64:
+            assert np.array_equal(image, exact @ v)
+        else:
+            expected = reference @ v
+            assert np.allclose(image, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        empty = SteinerPolynomial(PartialSteinerSystem(5, 3, 2, ()), np.zeros(0, dtype=np.int8))
+        zero = apply_polynomial(replace(t, polynomial=empty), v)
+        assert zero.dtype == v.dtype and not np.any(zero)
 
 
 def test_polynomial_operator_norm_values():
