@@ -277,19 +277,16 @@ def _through(ops, which, owner, rows, vals):
     read from the CSC arrays: none for an empty column, several for a column
     with several nonzeros.  owner follows each entry.
     """
-    if not len(which):
-        return owner, rows, vals
-    order = np.argsort(which, kind="stable")
-    bounds = np.searchsorted(which[order], np.arange(len(ops) + 1))
-    parts = []
-    for j in np.flatnonzero(np.diff(bounds)):
-        sel = order[bounds[j]:bounds[j + 1]]
-        indptr = ops[j].indptr
-        start = indptr[rows[sel]]
-        count = indptr[rows[sel] + 1] - start
+    parts = [(owner[:0], rows[:0], vals[:0])]
+    for j, op in enumerate(ops):
+        sel = np.flatnonzero(which == j)
+        if not sel.size:
+            continue
+        start = op.indptr[rows[sel]]
+        count = op.indptr[rows[sel] + 1] - start
         pos = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        parts.append((np.repeat(owner[sel], count), ops[j].indices[pos],
-                      np.repeat(vals[sel], count) * ops[j].data[pos]))
+        parts.append((np.repeat(owner[sel], count), op.indices[pos],
+                      np.repeat(vals[sel], count) * op.data[pos]))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
