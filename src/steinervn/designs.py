@@ -21,8 +21,9 @@ from .seeding import rng_for
 
 # Above this many candidate k-subsets the greedy stops enumerating and
 # falls back to streaming rejection sampling (memory bound: the enumeration
-# holds the int64 permutation of the candidate ranks, 80 MB at the limit, plus
-# one chunk of unranked candidates; no array of all candidates is built).
+# holds the int64 permutation of the candidate ranks, 80 MB at the limit, one
+# chunk of unranked candidates and one flag byte per (k-1)-subset, at most one
+# per candidate while 2k <= n + 1; no array of all candidates is built).
 ENUMERATION_LIMIT = 10**7
 
 # Candidates unranked and screened together by greedy_construct: the first

@@ -277,7 +277,7 @@ def _through(ops, which, owner, rows, vals):
     read from the CSC arrays: none for an empty column, several for a column
     with several nonzeros.  owner follows each entry.
     """
-    parts = [(owner[:0], rows[:0], vals[:0])]
+    parts = [(owner[:0], rows[:0], vals[:0])]  # an empty batch keeps its dtypes
     for j, op in enumerate(ops):
         sel = np.flatnonzero(which == j)
         if not sel.size:
