@@ -175,7 +175,8 @@ def test_greedy_matches_unranking_reference(n, k):
 
 
 def test_greedy_enumeration_holds_no_candidate_array():
-    # ENUMERATION_LIMIT's memory bound: the int64 permutation of the ranks plus one chunk
+    # ENUMERATION_LIMIT's memory bound: the int64 permutation of the ranks, one chunk
+    # and the (k-1)-subset flags
     tracemalloc.start()
     try:
         greedy_construct(60, 4, 0)

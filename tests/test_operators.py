@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from steinervn import operators
 from steinervn.designs import (PartialSteinerSystem, greedy_construct,
                                skolem_construct)
-from steinervn import operators
 from steinervn.errors import DomainError, ValidationError
 from steinervn.norms import estimate_norm
 from steinervn.operators import (OperatorTuple, apply_polynomial, build_basis,
@@ -339,15 +339,18 @@ def test_apply_polynomial_walks_general_matrices(monkeypatch, walk_entries):
     p = SteinerPolynomial(system, np.array([1, -1]))
     basis = build_basis(5, 3)
     rng = np.random.default_rng(3)
-    dense = rng.integers(-2, 3, (5, basis.dim, basis.dim)) * (rng.random((5, basis.dim, basis.dim)) < 0.4)
+    shape = (5, basis.dim, basis.dim)
+    dense = rng.integers(-2, 3, shape) * (rng.random(shape) < 0.4)
     dense[0, :, 3] = 0
     dense[0, [2, 7], 3] = (1, -2)
     dense[1, :, 3] = 0
     assert not np.array_equal(dense[0] @ dense[1], dense[1] @ dense[0])
     t = OperatorTuple(basis, [sparse.csc_array(d) for d in dense], p)
     assert np.diff(t.ops[0].indptr)[3] == 2 and np.diff(t.ops[1].indptr)[3] == 0
-    exact = sum(sign * dense[a] @ dense[b] @ dense[c] for (a, b, c), sign in zip(system.blocks, (1, -1)))
+    exact = sum(sign * dense[a] @ dense[b] @ dense[c]
+                for (a, b, c), sign in zip(system.blocks, (1, -1)))
     reference = dense_polynomial(p, t, 1.0)
+    empty = SteinerPolynomial(PartialSteinerSystem(5, 3, 2, ()), np.zeros(0, dtype=np.int8))
     for v in (rng.integers(-9, 10, basis.dim), rng.standard_normal(basis.dim),
               rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)):
         image = apply_polynomial(t, v)
@@ -357,7 +360,6 @@ def test_apply_polynomial_walks_general_matrices(monkeypatch, walk_entries):
         else:
             expected = reference @ v
             assert np.allclose(image, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        empty = SteinerPolynomial(PartialSteinerSystem(5, 3, 2, ()), np.zeros(0, dtype=np.int8))
         zero = apply_polynomial(replace(t, polynomial=empty), v)
         assert zero.dtype == v.dtype and not np.any(zero)
 
