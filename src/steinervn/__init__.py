@@ -13,7 +13,7 @@ from .errors import ConvergenceError, DomainError, ValidationError
 from .norms import (BoundSet, NormEstimate, analytic_bounds, brute_force_norm,
                     estimate_norm, ksz_polydisk_bound, polarization_constant,
                     recertify)
-from .operators import (HilbertBasis, OperatorTuple, apply_polynomial,
+from .operators import (ColumnMap, HilbertBasis, OperatorTuple, apply_polynomial,
                         build_basis, build_operators, check_commuting,
                         contraction_normalize, gram_diagonal_check,
                         linear_combination_sup, load_tuple, operator_norm,

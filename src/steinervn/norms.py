@@ -258,6 +258,21 @@ def _phase_ascent(p, theta, max_iters, tol, sign_rows=None):
     return z, f, iters
 
 
+def _gathered_sums(weights, *tables) -> list:
+    """Per incidence() table, the sums of the (N, m) block weights over its block
+    lists, shape (N,) + table.shape[1:].  Each gathered array is summed over its
+    leading slot axis, which numpy adds in order, so each sum runs in ascending
+    block order, one block after another from the first; a one-slot table is
+    its gather."""
+    padded = np.zeros((weights.shape[1] + 1, len(weights)), dtype=weights.dtype)
+    padded[:-1] = weights.T
+    sums = []
+    for table in tables:
+        gathered = np.take(padded, table, axis=0)
+        sums.append(np.moveaxis(gathered[0] if len(table) == 1 else gathered.sum(axis=0), -1, 0))
+    return sums
+
+
 def _torus_derivatives(p, z, sign_rows=None):
     """Gradient (N, n) and Hessian (N, n, n) of f(theta) = |p(e^{i theta})|^2 at the
     rows of z = e^{i theta}.
@@ -266,19 +281,23 @@ def _torus_derivatives(p, z, sign_rows=None):
     block-point incidence, g = z * dp/dz = M^T t and d^2 p / d theta_j
     d theta_l = -(sum of t_B over the blocks through j and l).  With
     w_B = Re(conj(p) t_B): grad f = -2 Im(conj(p) g) and Hess f =
-    2 Re(g g^H) - 2 M^T diag(w) M, one sparse product each.  Turning every
-    phase by one angle leaves f unchanged, so Hess f 1 = 0 and grad f . 1 = 0.
+    2 Re(g g^H) - 2 M^T diag(w) M, both sums over blocks taken by
+    _gathered_sums with the kernel plan's incidence() tables (the pair table
+    off the diagonal, the point table on it).  Turning every phase by one
+    angle leaves f unchanged, so Hess f 1 = 0 and grad f . 1 = 0.
     """
-    incidence, pairs = p.kernel_plan().incidence()
+    points, pairs = p.kernel_plan().incidence()
     terms = block_terms(p, z, sign_rows)
     val = terms.sum(axis=1)
-    g = (incidence @ terms.T).T
+    g, = _gathered_sums(terms, points)
     grad = -2.0 * np.imag(np.conj(val)[:, None] * g)
     w = val.real[:, None] * terms.real + val.imag[:, None] * terms.imag
     del terms
     hess = g.real[:, :, None] * g.real[:, None, :]
     hess += g.imag[:, :, None] * g.imag[:, None, :]
-    hess -= (pairs @ w.T).reshape(p.n, p.n, -1).transpose(2, 0, 1)
+    cross, diag = _gathered_sums(w, pairs, points)
+    cross[:, np.arange(p.n), np.arange(p.n)] = diag
+    hess -= cross
     hess *= 2.0
     return grad, hess
 

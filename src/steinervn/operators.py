@@ -7,8 +7,10 @@ sink g.  The operator T_l shifts e-levels up by appending l, maps the top
 e-level into the f-layer along the blocks (written in one pass over the
 blocks, whose packing property designs.verify checks once; unsorted,
 duplicate or overlapping blocks raise ValidationError), maps f_l to g, and
-kills g.  All matrices are exact integer sparse matrices; structural checks
-(commutation, Gram products, the evaluation identity) are carried out in
+kills g.  Each T_l sends a basis vector to a multiple of at most one basis
+vector, so it is stored as an integer column map (ColumnMap): for each column
+the row of its one nonzero, or -1, and that int64 value.  Structural checks
+(commutation, Gram products, the evaluation identity) compose these maps in
 integer arithmetic with no rounding.
 
 For triple systems (k = 3) each T_l has exactly one nonzero per column and
@@ -32,18 +34,18 @@ import os
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb, inf
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from .designs import line_ints, numbered_lines, verify
+from .designs import binomial_table, line_ints, numbered_lines, verify
 from .errors import DomainError, ValidationError
 from .polynomials import (Budgets, SteinerPolynomial, load_polynomial,
                           save_polynomial)
 from .seeding import rng_for
 
-# Entry-magnitude budget before a product could overflow int64; checked_matmul
-# raises OverflowError for any product whose bound reaches it.
+# Entry-magnitude budget before a product of two entries could overflow int64;
+# check_commuting and gram_diagonal_check raise OverflowError when it is reached.
 _OVERFLOW_GUARD = 1 << 62
 
 # Entries a chunk of blocks starts from in apply_polynomial's batched walk,
@@ -101,21 +103,45 @@ def build_basis(n: int, k: int) -> HilbertBasis:
     return HilbertBasis(n, k, vectors, {v: i for i, v in enumerate(vectors)}, offsets)
 
 
-def _from_triples(dim, flat) -> sparse.csc_array:
-    """int64 dim x dim matrix from a flat list row, col, value, row, ...; duplicates add."""
-    rows, cols, vals = np.array(flat, dtype=np.int64).reshape(-1, 3).T
-    mat = sparse.csc_array((vals, (rows, cols)), shape=(dim, dim))
-    mat.sum_duplicates()
-    return mat
+def multiset_ranks(sets, n: int) -> np.ndarray:
+    """Positions of the nondecreasing rows of ``sets`` (N, m), m >= 1, in the order
+    of combinations_with_replacement(range(n), m).
+
+    Adding (0, 1, ..., m-1) turns a multiset of range(n) into an m-subset of
+    range(n+m-1) and keeps the lexicographic order; that subset's rank is
+    C(n+m-1, m) - 1 - r' with r' the colex rank of its mirror (see unrank_lex).
+    """
+    m = sets.shape[1]
+    size = n + m - 1
+    mirrored = size - 1 - (sets + np.arange(m))
+    return comb(size, m) - 1 - binomial_table(size, m)[np.arange(m, 0, -1), mirrored].sum(axis=1)
+
+
+class ColumnMap(NamedTuple):
+    """An operator with at most one nonzero per column: T e_c = vals[c] e_{rows[c]}.
+
+    rows and vals are int64 arrays of length dim; an empty column has
+    rows[c] = -1 and vals[c] = 0, and every other vals[c] is nonzero.
+    """
+
+    rows: np.ndarray
+    vals: np.ndarray
+
+
+def _padded(ops) -> tuple:
+    """(rows, vals) of all operators as (n, dim + 1) arrays ending in an empty
+    column, so that the row -1 of an empty column indexes an empty column."""
+    rows = np.pad(np.stack([op.rows for op in ops]), ((0, 0), (0, 1)), constant_values=-1)
+    return rows, np.pad(np.stack([op.vals for op in ops]), ((0, 0), (0, 1)))
 
 
 @dataclass
 class OperatorTuple:
-    """n int64 csc_array operators sharing one basis, plus a lazily applied scale.
+    """n ColumnMap operators sharing one basis, plus a lazily applied scale.
 
     polynomial is the one the tuple realizes, read by every p(T) routine.  The
     scale multiplies each operator at evaluation time only: structure checks
-    always run on the raw integer matrices.
+    always run on the raw integer maps.
     """
 
     basis: HilbertBasis
@@ -143,9 +169,10 @@ def build_operators(p: SteinerPolynomial) -> OperatorTuple:
     """Operator tuple whose joint action encodes the polynomial's blocks.
 
     For each l:  T_l e(J) = e(sorted(J + l)) while |J| < k-2;  T_l f_i =
-    delta_{li} g;  T_l g = 0.  The top e-level is written in one pass over the
-    blocks: for a block B with sign s and each ordered pair l != i in B,
-    T_l e(B - {l, i}) = s f_i.  Entries are all +-1.  The blocks are checked
+    delta_{li} g;  T_l g = 0.  The top e-level is written with array
+    operations over the blocks: for a block B with sign s and each ordered
+    pair l != i in B, T_l e(B - {l, i}) = s f_i, the column of e(B - {l, i})
+    found by multiset_ranks.  Entries are all +-1.  The blocks are checked
     once, by designs.verify: an unsorted, duplicate or out-of-range block, or
     two blocks sharing a (k-1)-set, raises ValidationError, so every top
     e(J) of every T_l has at most one image.  So does a family of sign rows.
@@ -159,43 +186,37 @@ def build_operators(p: SteinerPolynomial) -> OperatorTuple:
         raise ValidationError(f"blocks {clash.first_block} and {clash.second_block} "
                               f"share the (k-1)-set {clash.t_subset}")
     basis = build_basis(system.n, system.k)
-    n, k = system.n, system.k
-
-    flat = [[] for _ in range(n)]  # per l: row, col, value, row, ...
-    for l in range(n):
-        for m in range(k - 2):
-            for idx in combinations_with_replacement(range(n), m):
-                flat[l] += (basis.index[("e", tuple(sorted(idx + (l,))))],
-                            basis.index[("e", idx)], 1)
-        flat[l] += (basis.g_index(), basis.index[("f", l)], 1)
-    for block, sign in zip(system.blocks, p.signs.tolist()):
-        for l, i in permutations(block, 2):
-            rest = tuple(x for x in block if x != l and x != i)
-            flat[l] += (basis.index[("f", i)], basis.index[("e", rest)], sign)
-    return OperatorTuple(basis, [_from_triples(basis.dim, entries) for entries in flat], p)
+    n, k, off = system.n, system.k, basis.offsets
+    rows = np.full((n, basis.dim), -1, dtype=np.int64)
+    for m in range(k - 2):  # T_l e(J) = e(sorted(J + l))
+        level = np.array([v[1] for v in basis.vectors[off[m]:off[m + 1]]],
+                         dtype=np.int64).reshape(off[m + 1] - off[m], m)
+        grown = np.concatenate([np.broadcast_to(level, (n,) + level.shape),
+                                np.broadcast_to(np.arange(n)[:, None, None], (n, len(level), 1))],
+                               axis=2)
+        grown.sort(axis=2)
+        rows[:, off[m]:off[m + 1]] = off[m + 1] + multiset_ranks(grown.reshape(-1, m + 1),
+                                                                 n).reshape(n, -1)
+    rows[np.arange(n), off[k - 1] + np.arange(n)] = basis.g_index()  # T_l f_l = g
+    vals = (rows >= 0).astype(np.int64)
+    blocks = system.blocks_array()
+    for a, c in permutations(range(k), 2):  # l = B[a], i = B[c]
+        cols = off[k - 2] + multiset_ranks(np.delete(blocks, [a, c], axis=1), n)
+        rows[blocks[:, a], cols] = off[k - 1] + blocks[:, c]
+        vals[blocks[:, a], cols] = p.signs
+    return OperatorTuple(basis, [ColumnMap(r, v) for r, v in zip(rows, vals)], p)
 
 
 # ---------------------------------------------------------------------------
 # Exact integer products
 # ---------------------------------------------------------------------------
 
-def _product_bound(a: sparse.sparray, b: sparse.sparray) -> int:
-    if a.nnz == 0 or b.nnz == 0:
-        return 0
-    max_a = int(np.abs(a.data).max())
-    max_b = int(np.abs(b.data).max())
-    terms = int(np.diff(a.tocsr().indptr).max())
-    return max_a * max_b * terms
-
-
-def checked_matmul(a, b):
-    """Exact sparse integer product; verifies int64 cannot overflow."""
-    if _product_bound(a, b) >= _OVERFLOW_GUARD:
+def _require_in_range(bound: int):
+    if bound >= _OVERFLOW_GUARD:
         raise OverflowError(
-            "integer sparse product could exceed 64-bit range; "
+            "integer products could exceed 64-bit range; "
             "entries are larger than this construction ever produces"
         )
-    return a @ b
 
 
 @dataclass
@@ -206,17 +227,35 @@ class CommutationReport:
 
 
 def check_commuting(t: OperatorTuple) -> CommutationReport:
-    """Exact check of T_l T_m = T_m T_l for all l < m."""
-    for l in range(t.n):
-        for m in range(l + 1, t.n):
-            delta = checked_matmul(t.ops[l], t.ops[m]) - checked_matmul(t.ops[m], t.ops[l])
-            if delta.nnz:
-                coo = delta.tocoo()
-                order = np.lexsort((coo.col, coo.row))
-                j = order[0]
-                return CommutationReport(
-                    False, (l, m), (int(coo.row[j]), int(coo.col[j]), int(coo.data[j]))
-                )
+    """Exact check of T_l T_m = T_m T_l for all l < m.
+
+    Composed column maps are column maps, so each entry of a product is one
+    product of two entries, exact in int64 while max|T_l| max|T_m| < 2^62
+    (OverflowError otherwise).  A failure reports the first pair (l, m) and
+    the entry of T_l T_m - T_m T_l that comes first by (row, col).
+    """
+    rows, vals = _padded(t.ops)
+    peak = [int(np.abs(v).max()) for v in vals]
+    dim = t.dim
+    for l in range(t.n - 1):
+        _require_in_range(peak[l] * max(peak[l + 1:]))
+        after_r, after_v = rows[l + 1:], vals[l + 1:]  # T_m for every m > l
+        lm_rows = rows[l][after_r[:, :dim]]
+        lm_vals = vals[l][after_r[:, :dim]] * after_v[:, :dim]
+        ml_rows = after_r[:, rows[l, :dim]]
+        ml_vals = after_v[:, rows[l, :dim]] * vals[l, :dim]
+        fails = (lm_rows != ml_rows) | (lm_vals != ml_vals)
+        if fails.any():
+            i = int(np.flatnonzero(fails.any(axis=1))[0])
+            entries = []
+            for c in np.flatnonzero(fails[i]).tolist():
+                (r1, v1), (r2, v2) = ((int(lm_rows[i, c]), int(lm_vals[i, c])),
+                                      (int(ml_rows[i, c]), int(ml_vals[i, c])))
+                if r1 == r2:
+                    entries.append((r1, c, v1 - v2))
+                else:
+                    entries += [(r, c, v) for r, v in ((r1, v1), (r2, -v2)) if r >= 0]
+            return CommutationReport(False, (l, l + 1 + i), min(entries))
     return CommutationReport(True)
 
 
@@ -230,17 +269,23 @@ class GramReport:
 def gram_diagonal_check(t: OperatorTuple) -> list:
     """Exact Gram matrix T_l* T_l per operator.
 
-    A diagonal Gram with entries in {0, 1} (and at least one 1) certifies
-    operator norm exactly 1.
+    Columns c != c' of a column map are orthogonal unless they share a row,
+    and then their Gram entry is the product of their values, so the Gram
+    matrix has offdiag_count = sum over rows of r (r - 1) nonzeros off the
+    diagonal (r columns through the row) and vals^2 on it.  A diagonal Gram
+    with entries in {0, 1} (and at least one 1) certifies operator norm
+    exactly 1.
     """
     reports = []
     for op in t.ops:
-        gram = checked_matmul(op.T, op).tocoo()
-        off = int(np.count_nonzero(gram.row != gram.col))
-        diag = gram.data[gram.row == gram.col]
-        is01 = off == 0 and (diag.size == 0 or bool(np.all((diag == 0) | (diag == 1))))
-        max_col = int(diag.max()) if diag.size else 0
-        reports.append(GramReport(is01, max_col, off))
+        peak = int(np.abs(op.vals).max(initial=0))
+        _require_in_range(peak * peak)
+        filled = op.rows >= 0
+        shared = np.bincount(op.rows[filled], minlength=t.dim)
+        off = int((shared * (shared - 1)).sum())
+        diag = op.vals[filled] ** 2
+        reports.append(GramReport(off == 0 and bool(np.all(diag == 1)),
+                                  int(diag.max(initial=0)), off))
     return reports
 
 
@@ -248,46 +293,17 @@ def gram_diagonal_check(t: OperatorTuple) -> list:
 # Exact grade-structure norms
 # ---------------------------------------------------------------------------
 
-def operator_norm(a: sparse.csc_array) -> float:
+def operator_norm(op: ColumnMap) -> float:
     """Spectral norm of an operator with at most one nonzero per column.
 
     Every T_l maps each basis vector to a multiple of a single basis vector,
-    so A A^T is diagonal and ||A|| is exactly the largest Euclidean row norm.
-    The column property is checked in integers; a matrix that breaks it (only
-    a hand-edited operator file can) raises ValidationError.
+    so A A^T is diagonal and ||A|| is exactly the largest Euclidean row norm:
+    the squared values summed per row by one bincount, in column order.
     """
-    mat = a.tocsc(copy=True)
-    mat.eliminate_zeros()
-    per_col = np.diff(mat.indptr)
-    if per_col.max(initial=0) > 1:
-        col = int(np.argmax(per_col))
-        raise ValidationError(
-            f"column {col} has {per_col[col]} nonzeros; the tuple's operators "
-            "have at most one per column"
-        )
-    row_sq = np.bincount(mat.indices, weights=mat.data.astype(np.float64) ** 2,
-                         minlength=a.shape[0])
+    filled = op.rows >= 0
+    row_sq = np.bincount(op.rows[filled], weights=op.vals[filled].astype(np.float64) ** 2,
+                         minlength=len(op.rows))
     return math.sqrt(row_sq.max(initial=0.0))
-
-
-def _through(ops, which, owner, rows, vals):
-    """Move batch entry i, value vals[i] at row rows[i], through ops[which[i]].
-
-    An entry becomes one entry per nonzero in column rows[i] of its operator,
-    read from the CSC arrays: none for an empty column, several for a column
-    with several nonzeros.  owner follows each entry.
-    """
-    parts = [(owner[:0], rows[:0], vals[:0])]  # an empty batch keeps its dtypes
-    for j, op in enumerate(ops):
-        sel = np.flatnonzero(which == j)
-        if not sel.size:
-            continue
-        start = op.indptr[rows[sel]]
-        count = op.indptr[rows[sel] + 1] - start
-        pos = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        parts.append((np.repeat(owner[sel], count), op.indices[pos],
-                      np.repeat(vals[sel], count) * op.data[pos]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def apply_polynomial(t: OperatorTuple, vector) -> np.ndarray:
@@ -295,7 +311,9 @@ def apply_polynomial(t: OperatorTuple, vector) -> np.ndarray:
 
     All blocks are walked at once: a batch holds one (block, row, value) entry
     per nonzero of v for each block and moves through T_{b_k}, ..., T_{b_1}
-    (see _through); the signed values are then added into the image with
+    by one gather from the column maps per step; an entry that meets an empty
+    column moves to row -1, an empty column of _padded, and leaves the image
+    through its last slot.  The signed values are added into the image with
     np.add.at.  Blocks are taken in chunks so that a batch starts from about
     _WALK_ENTRIES entries.  Works in the vector's dtype promoted with int64:
     an integer vector gives the exact integer image when scale == 1, and a
@@ -306,7 +324,8 @@ def apply_polynomial(t: OperatorTuple, vector) -> np.ndarray:
     if vector.shape != (t.dim,):
         raise ValidationError(f"vector has shape {vector.shape}, expected ({t.dim},)")
     vector = vector.astype(np.result_type(vector, np.int64), copy=False)
-    image = np.zeros_like(vector)
+    image = np.zeros(t.dim + 1, dtype=vector.dtype)
+    maps, values = _padded(t.ops)
     blocks = t.polynomial.system.blocks_array()
     signs = t.polynomial.signs
     support = np.flatnonzero(vector)
@@ -317,8 +336,11 @@ def apply_polynomial(t: OperatorTuple, vector) -> np.ndarray:
         rows = np.tile(support, len(chunk))
         vals = vector[rows]
         for step in range(t.k - 1, -1, -1):
-            owner, rows, vals = _through(t.ops, blocks[owner, step], owner, rows, vals)
+            which = blocks[owner, step]
+            vals = vals * values[which, rows]
+            rows = maps[which, rows]
         np.add.at(image, rows, vals * signs[owner])
+    image = image[:-1]
     if t.scale != 1.0:
         image = image * t.scale ** t.k
     return image
@@ -387,11 +409,10 @@ def linear_combination_sup(t: OperatorTuple, q, starts: int = Budgets.lincomb_st
         raise DomainError(f"need 1 < q < inf, got q={q}")
     qp = q / (q - 1.0)
     bounds = np.array(t.basis.offsets)
-    coos = [op.tocoo() for op in t.ops]
-    rows = np.concatenate([c.row for c in coos])
-    cols = np.concatenate([c.col for c in coos])
-    data = np.concatenate([c.data for c in coos]).astype(np.float64)
-    opidx = np.concatenate([np.full(c.nnz, j) for j, c in enumerate(coos)])
+    maps = np.stack([op.rows for op in t.ops])
+    opidx, cols = np.nonzero(maps >= 0)  # operator by operator, in column order
+    rows = maps[opidx, cols]
+    data = np.stack([op.vals for op in t.ops])[opidx, cols].astype(np.float64)
     col_grade = np.searchsorted(bounds, cols, side="right") - 1
     if np.any(np.searchsorted(bounds, rows, side="right") - 1 != col_grade + 1):
         raise ValidationError("an operator entry does not raise the grade by one")
@@ -470,20 +491,25 @@ def save_tuple(t: OperatorTuple, directory):
 
     Header line: ``dim n k scale_num scale_den_exponent`` with
     scale = scale_num * n^(-scale_den_exponent).  Entry lines: l row col value,
-    each operator's entries sorted by column then row.
+    each operator's entries in column order.
     """
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "operators.txt"), "w", encoding="ascii") as fh:
         fh.write(f"{t.dim} {t.n} {t.k} {t.scale!r} 0.0\n")
         for l, op in enumerate(t.ops):
-            coo = op.tocoo()
-            for col, row, value in sorted(zip(coo.col.tolist(), coo.row.tolist(),
-                                              coo.data.tolist())):
-                fh.write(f"{l} {row} {col} {value}\n")
+            cols = np.flatnonzero(op.rows >= 0)
+            fh.writelines(f"{l} {row} {col} {value}\n" for row, col, value in
+                          zip(op.rows[cols].tolist(), cols.tolist(), op.vals[cols].tolist()))
     save_polynomial(t.polynomial, os.path.join(directory, "polynomial.txt"))
 
 
 def load_tuple(directory) -> OperatorTuple:
+    """Read a tuple written by save_tuple.
+
+    Entries repeated at one (l, row, col) are summed, and a zero sum leaves
+    no entry.  An operator with two nonzeros in one column is not a column
+    map: ValidationError names the line that brings the second one.
+    """
     poly = load_polynomial(os.path.join(directory, "polynomial.txt"))
     path = os.path.join(directory, "operators.txt")
     lines = numbered_lines(path)
@@ -501,7 +527,7 @@ def load_tuple(directory) -> OperatorTuple:
     basis = build_basis(n, k)
     if basis.dim != dim:
         raise ValidationError(f"{path}: header dim {dim} != basis dim {basis.dim}")
-    flat = [[] for _ in range(n)]
+    columns = {}  # (l, col) -> {row: [summed value, first line]}
     for num, tokens in lines[1:]:
         l, row, col, value = line_ints(path, num, tokens, 4, "four integers 'l row col value'")
         if not 0 <= l < n:
@@ -509,6 +535,15 @@ def load_tuple(directory) -> OperatorTuple:
         if not (0 <= row < dim and 0 <= col < dim):
             raise ValidationError(f"{path}: line {num}: entry ({row}, {col}) outside "
                                   f"[0, {dim}) x [0, {dim})")
-        flat[l] += (row, col, value)
-    return OperatorTuple(basis, [_from_triples(dim, entries) for entries in flat],
-                         poly, scale)
+        columns.setdefault((l, col), {}).setdefault(row, [0, num])[0] += value
+    rows = np.full((n, dim), -1, dtype=np.int64)
+    vals = np.zeros((n, dim), dtype=np.int64)
+    for (l, col), entries in columns.items():
+        nonzero = sorted((num, row, value) for row, (value, num) in entries.items() if value)
+        if len(nonzero) > 1:
+            raise ValidationError(f"{path}: line {nonzero[1][0]}: operator {l} has a second "
+                                  f"nonzero in column {col}; each operator has at most one "
+                                  "nonzero per column")
+        if nonzero:
+            _, rows[l, col], vals[l, col] = nonzero[0]
+    return OperatorTuple(basis, [ColumnMap(r, v) for r, v in zip(rows, vals)], poly, scale)

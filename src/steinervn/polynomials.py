@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .designs import (PartialSteinerSystem, line_ints, numbered_lines, parse_system,
                       save_system)
@@ -89,7 +88,7 @@ class _KernelPlan:
     half of monomial i's term, goes to bin 2 (r n + blocks[i, pos]) + part.
     The bins are built for the largest tile seen and sliced for smaller
     ones; neither they nor the columns depend on the signs, nor do the
-    incidence matrices of ``incidence()``, which the torus Hessian uses.
+    gather tables of ``incidence()``, which the torus Hessian uses.
     """
 
     def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
@@ -100,17 +99,18 @@ class _KernelPlan:
         self._incidence = None
 
     def incidence(self) -> tuple:
-        """(M^T, P) as 0/1 CSR matrices: M^T (n, m) has a one at (j, i) when block
-        i holds point j, and P (n^2, m) at (j n + l, i) when it holds j and l
-        (j = l included).  For weights w on the blocks, M^T w sums w over the
-        blocks through each point, and P w is M^T diag(w) M flattened."""
+        """(points, pairs) gather tables over the m blocks and one zero column after
+        them: points (r, n) lists the blocks through each point and pairs (s, n, n)
+        those through each ordered pair j != l, each in ascending block order and
+        padded with m; pairs[:, j, j] is all m.  norms._gathered_sums sums block
+        weights over these lists."""
         if self._incidence is None:
             blocks = np.stack(self.cols, axis=1)  # (m, k)
             m, k = blocks.shape
-            cells = (self._n * blocks[:, :, None] + blocks[:, None, :]).reshape(-1)
-            pairs = sparse.csr_array((np.ones(m * k * k), (cells, np.repeat(np.arange(m), k * k))),
-                                     shape=(self._n ** 2, m))
-            self._incidence = (pairs[np.arange(self._n) * (self._n + 1)], pairs)
+            first, second = np.nonzero(~np.eye(k, dtype=bool))  # positions of each j != l
+            cells = self._n * blocks[:, first] + blocks[:, second]
+            self._incidence = (_gather_table(blocks, self._n, m),
+                               _gather_table(cells, self._n ** 2, m).reshape(-1, self._n, self._n))
         return self._incidence
 
     def bins(self, rows: int) -> np.ndarray:
@@ -125,6 +125,18 @@ class _KernelPlan:
         if sign_rows is None:
             return self.signs[:1]
         return np.take(self.signs, sign_rows[rows], axis=0)
+
+
+def _gather_table(keys: np.ndarray, size: int, pad: int) -> np.ndarray:
+    """(slots, size) table whose column x lists the rows i of ``keys`` (m, c) that
+    hold x, ascending, padded with ``pad``."""
+    order = np.argsort(keys.ravel(), kind="stable")  # row-major, so rows ascend per key
+    counts = np.bincount(keys.ravel(), minlength=size)
+    starts = np.cumsum(counts) - counts
+    table = np.full((counts.max(initial=0), size), pad, dtype=np.int64)
+    key = keys.ravel()[order]
+    table[np.arange(len(order)) - starts[key], key] = order // keys.shape[1]
+    return table
 
 
 def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:

@@ -132,9 +132,11 @@ def test_op_build_and_check(tmp_path, capsys):
     # a second nonzero in the column of e under T_0 breaks the tuple's structure
     with open(opdir / "operators.txt", "a") as fh:
         fh.write("0 2 0 1\n")
-    code, _, stderr = run(capsys, "op", "check", "--in", str(opdir))
-    assert code == 1
-    assert "column 0" in stderr
+    where = len((opdir / "operators.txt").read_text().splitlines())
+    code, stdout, stderr = run(capsys, "op", "check", "--in", str(opdir))
+    assert code == 1 and stdout == ""
+    assert (f"operators.txt: line {where}: operator 0 has a second nonzero in column 0;"
+            in stderr)
 
 
 def built_tuple(tmp_path, capsys):

@@ -221,6 +221,56 @@ def test_torus_hessian_matches_central_differences(system):
     assert np.abs(grad.sum(axis=1)).max() <= 1e-13 * np.abs(grad).max()
 
 
+def reference_block_sums(p, terms, w):
+    """g = M^T t and M^T diag(w) M, added block by block in ascending block order."""
+    g = np.zeros((len(terms), p.n), dtype=complex)
+    cross = np.zeros((len(terms), p.n, p.n))
+    for b, block in enumerate(p.system.blocks):
+        for j in block:
+            g[:, j] += terms[:, b]
+            for l in block:
+                cross[:, j, l] += w[:, b]
+    return g, cross
+
+
+@pytest.mark.parametrize("system, rows", [
+    (skolem_construct(13), None), (greedy_construct(10, 4, 2), None),
+    (skolem_construct(13), 3), (PartialSteinerSystem(4, 3, 2, ()), None)],
+    ids=["sts13", "greedy10-4", "sts13-family", "empty"])
+def test_torus_gather_tables_sum_in_block_order(system, rows):
+    # the incidence() tables list each point's and each ordered pair's blocks in
+    # ascending order, and the Hessian's sums over them equal, to the bit, the
+    # sums a sparse incidence product forms: one block after another, in order
+    signs = (random_signs(system, 5) if rows is None
+             else np.stack([random_signs(system, s) for s in range(rows)]))
+    p = SteinerPolynomial(system, signs)
+    points, pairs = p.kernel_plan().incidence()
+    m = system.num_blocks
+    for j in range(p.n):
+        through = [b for b, block in enumerate(system.blocks) if j in block]
+        assert points[:, j].tolist() == through + [m] * (len(points) - len(through))
+        for l in range(p.n):
+            both = [b for b in through if l in system.blocks[b] and l != j]
+            assert pairs[:, j, l].tolist() == both + [m] * (len(pairs) - len(both))
+    theta = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (7, p.n))
+    sign_rows = None if rows is None else np.arange(7) % rows
+    terms = norms.block_terms(p, np.exp(1j * theta), sign_rows)
+    val = terms.sum(axis=1)
+    w = val.real[:, None] * terms.real + val.imag[:, None] * terms.imag
+    g, cross = reference_block_sums(p, terms, w)
+    assert np.array_equal(norms._gathered_sums(terms, points)[0], g)
+    off, diag = norms._gathered_sums(w, pairs, points)
+    assert np.array_equal(diag, np.diagonal(cross, axis1=1, axis2=2))
+    off[:, np.arange(p.n), np.arange(p.n)] = diag
+    assert np.array_equal(off, cross)
+    grad, hess = norms._torus_derivatives(p, np.exp(1j * theta), sign_rows)
+    assert np.array_equal(grad, -2.0 * np.imag(np.conj(val)[:, None] * g))
+    expected = g.real[:, :, None] * g.real[:, None, :]
+    expected += g.imag[:, :, None] * g.imag[:, None, :]
+    expected -= cross
+    assert np.array_equal(hess, 2.0 * expected)
+
+
 def test_newton_solve_gives_an_exactly_singular_row_a_zero_step():
     # mu can underflow to 0 after many accepted steps, and a point in no block
     # leaves a zero row in mu I - H; np.linalg.solve raises for the whole stack

@@ -1,24 +1,22 @@
 import math
 from dataclasses import replace
 from functools import reduce
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, inf
 
 import numpy as np
 import pytest
-from scipy import sparse
-
 from steinervn import operators
 from steinervn.designs import (PartialSteinerSystem, greedy_construct,
                                skolem_construct)
 from steinervn.errors import DomainError, ValidationError
 from steinervn.norms import estimate_norm
-from steinervn.operators import (OperatorTuple, apply_polynomial, build_basis,
-                                 build_operators, check_commuting,
+from steinervn.operators import (ColumnMap, OperatorTuple, apply_polynomial,
+                                 build_basis, build_operators, check_commuting,
                                  contraction_normalize, gram_diagonal_check,
                                  linear_combination_sup, load_tuple,
-                                 operator_norm, polynomial_operator_norm,
-                                 save_tuple)
+                                 multiset_ranks, operator_norm,
+                                 polynomial_operator_norm, save_tuple)
 from steinervn.polynomials import SteinerPolynomial, random_signs
 from steinervn.seeding import rng_for
 
@@ -53,6 +51,15 @@ def empty_tuple(n=3):
     system = PartialSteinerSystem(n, 3, 2, ())
     p = SteinerPolynomial(system, np.zeros(0, dtype=np.int8))
     return p, build_operators(p)
+
+
+def to_dense(op):
+    """The int64 dim x dim matrix of a column map."""
+    dim = len(op.rows)
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    cols = np.flatnonzero(op.rows >= 0)
+    mat[op.rows[cols], cols] = op.vals[cols]
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -99,25 +106,68 @@ def test_single_block_actions():
     p, t = single_block_tuple()
     basis = t.basis
     # T_0 e = e(0)
-    e_col = t.ops[0][:, [basis.index[("e", ())]]].toarray().ravel()
+    e_col = to_dense(t.ops[0])[:, basis.index[("e", ())]]
     expected = np.zeros(t.dim)
     expected[basis.index[("e", (0,))]] = 1
     assert np.array_equal(e_col, expected)
     # T_0 e(1) = f_2 (the only block through {0,1} is {0,1,2})
-    col = t.ops[0][:, [basis.index[("e", (1,))]]].toarray().ravel()
+    col = to_dense(t.ops[0])[:, basis.index[("e", (1,))]]
     nz = np.nonzero(col)[0]
     assert nz.tolist() == [basis.index[("f", 2)]]
     assert col[nz[0]] == 1
     # T_0 g = 0
-    g_col = t.ops[0][:, [basis.g_index()]]
-    assert g_col.nnz == 0
+    assert t.ops[0].rows[basis.g_index()] == -1 and t.ops[0].vals[basis.g_index()] == 0
 
 
 def test_entries_are_unimodular():
     _, t = sts_tuple(9)
     for op in t.ops:
-        assert isinstance(op, sparse.csc_array) and op.dtype == np.int64
-        assert set(np.unique(op.data)) <= {-1, 1}
+        assert isinstance(op, ColumnMap)
+        assert op.rows.dtype == np.int64 and op.vals.dtype == np.int64
+        assert set(np.unique(op.vals[op.rows >= 0])) <= {-1, 1}
+        assert not np.any(op.vals[op.rows < 0])
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (5, 3), (5, 4), (7, 5), (4, 6), (9, 4)])
+def test_multiset_ranks_index_the_basis(n, k):
+    basis = build_basis(n, k)
+    for m in range(1, k - 1):
+        level = [v[1] for v in basis.vectors[basis.offsets[m]:basis.offsets[m + 1]]]
+        assert level == list(combinations_with_replacement(range(n), m))
+        ranks = multiset_ranks(np.array(level, dtype=np.int64).reshape(-1, m), n)
+        assert (basis.offsets[m] + ranks).tolist() == [basis.index[("e", J)] for J in level]
+
+
+def loop_maps(p):
+    """Column maps of p's tuple by one dict lookup per entry, as build_operators
+    wrote them before its array form."""
+    n, k = p.n, p.k
+    basis = build_basis(n, k)
+    rows = np.full((n, basis.dim), -1, dtype=np.int64)
+    vals = np.zeros((n, basis.dim), dtype=np.int64)
+    for l in range(n):
+        for m in range(k - 2):
+            for idx in combinations_with_replacement(range(n), m):
+                col = basis.index[("e", idx)]
+                rows[l, col], vals[l, col] = basis.index[("e", tuple(sorted(idx + (l,))))], 1
+        rows[l, basis.index[("f", l)]], vals[l, basis.index[("f", l)]] = basis.g_index(), 1
+    for block, sign in zip(p.system.blocks, p.signs.tolist()):
+        for l, i in permutations(block, 2):
+            col = basis.index[("e", tuple(x for x in block if x != l and x != i))]
+            rows[l, col], vals[l, col] = basis.index[("f", i)], sign
+    return rows, vals
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sts_tuple(7), lambda: sts_tuple(13), lambda: sts_tuple(25),
+    lambda: greedy_tuple(26, 4, 0), lambda: greedy_tuple(34, 4, 1), lambda: greedy_tuple(42, 4, 2),
+    lambda: greedy_tuple(42, 4, 0), lambda: greedy_tuple(12, 5), lambda: greedy_tuple(10, 6),
+    lambda: single_block_tuple(-1), lambda: empty_tuple(1), k4_anomaly_tuple])
+def test_build_matches_the_per_entry_loop(make):
+    p, t = make()
+    rows, vals = loop_maps(p)
+    assert np.array_equal(np.stack([op.rows for op in t.ops]), rows)
+    assert np.array_equal(np.stack([op.vals for op in t.ops]), vals)
 
 
 def test_misaligned_system_rejected():
@@ -147,28 +197,41 @@ def test_commuting_single_block():
     assert check_commuting(t).ok
 
 
-def test_commuting_detects_mutation():
+@pytest.mark.parametrize("grade", [0, 1, 2])
+def test_commuting_detects_mutation(grade):
+    # one value of T_0 flipped in grade 0 (T_0 e), 1 (an e(j)) or 2 (f_0); the
+    # report names the first failing pair and the commutator's first entry by (row, col)
     _, t = sts_tuple(7)
-    broken = t.ops[0].tolil()
-    rows, cols = broken.nonzero()
-    broken[rows[0], cols[0]] = -broken[rows[0], cols[0]]
-    mutated = OperatorTuple(t.basis, [broken.tocsc()]
-                            + t.ops[1:], t.polynomial)
+    vals = t.ops[0].vals.copy()
+    col = [c for c in range(*t.basis.offsets[grade:grade + 2]) if t.ops[0].rows[c] >= 0][0]
+    vals[col] = -vals[col]
+    mutated = OperatorTuple(t.basis, [ColumnMap(t.ops[0].rows, vals)] + t.ops[1:],
+                            t.polynomial)
     report = check_commuting(mutated)
     assert not report.ok
-    assert report.pair is not None and report.pair[0] == 0
-    assert report.entry is not None
+    dense = [to_dense(op) for op in mutated.ops]
+    failing = [(l, m) for l in range(t.n) for m in range(l + 1, t.n)
+               if np.any(dense[l] @ dense[m] - dense[m] @ dense[l])]
+    assert report.pair == failing[0]
+    l, m = report.pair
+    delta = dense[l] @ dense[m] - dense[m] @ dense[l]
+    row, c = min(zip(*np.nonzero(delta)))
+    assert report.entry == (row, c, delta[row, c])
 
 
 def test_commuting_raises_when_entries_reach_overflow_guard():
-    # T_0 has one nonzero per row, so 2^31-sized entries bound each product
-    # entry by exactly 2^62, the guard
+    # each entry of a product of column maps is one product of two entries, so
+    # 2^31-sized entries bound it by exactly 2^62, the guard; one less passes
     _, t = sts_tuple(7)
-    big = t.ops[0] * (1 << 31)
-    assert big.dtype == np.int64
+    big = ColumnMap(t.ops[0].rows, t.ops[0].vals * (1 << 31))
+    assert big.vals.dtype == np.int64
     huge = OperatorTuple(t.basis, [big, big] + t.ops[2:], t.polynomial)
     with pytest.raises(OverflowError):
         check_commuting(huge)
+    with pytest.raises(OverflowError):
+        gram_diagonal_check(huge)
+    below = ColumnMap(t.ops[0].rows, t.ops[0].vals * ((1 << 31) - 1))
+    assert check_commuting(OperatorTuple(t.basis, [big, below] + t.ops[2:], t.polynomial)).ok
 
 
 def test_monomial_order_independence():
@@ -179,12 +242,12 @@ def test_monomial_order_independence():
         mats = []
         for _ in range(10):
             order = rng.permutation(3)
-            m = sparse.identity(t.dim, dtype=np.int64, format="csc")
+            m = np.eye(t.dim, dtype=np.int64)
             for j in (block[o] for o in order):
-                m = t.ops[j] @ m
+                m = to_dense(t.ops[j]) @ m
             mats.append(m)
         for m in mats[1:]:
-            assert (m - mats[0]).nnz == 0
+            assert np.array_equal(m, mats[0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +296,21 @@ def test_k4_operator_norm_squared_is_the_largest_pair_degree(n, seed):
         for l, i in permutations(block, 2):
             pair_degree[l, i] += 1
     for l, op in enumerate(t.ops):
-        row_sq = op.multiply(op).sum(axis=1)
+        row_sq = (to_dense(op) ** 2).sum(axis=1)
         assert row_sq.dtype == np.int64
         assert row_sq.max() == max(1, pair_degree[l].max())
         assert operator_norm(op) == math.sqrt(row_sq.max())
 
 
 def test_operator_norm_zero():
-    z = sparse.csc_array((4, 4), dtype=np.int64)
+    z = ColumnMap(np.full(4, -1, dtype=np.int64), np.zeros(4, dtype=np.int64))
     assert operator_norm(z) == 0.0
 
 
 def test_operator_norm_sanity_envelope():
     _, t = sts_tuple(13)
     for op in t.ops[:4]:
-        a = np.abs(op).toarray()
+        a = np.abs(to_dense(op))
         col_floor = math.sqrt((a * a).sum(axis=0).max())
         upper = math.sqrt(a.sum(axis=1).max() * a.sum(axis=0).max())
         v = operator_norm(op)
@@ -257,17 +320,39 @@ def test_operator_norm_sanity_envelope():
 def test_operator_norm_matches_dense_lapack():
     for p, t in (sts_tuple(7), sts_tuple(9), greedy_tuple(10, 4), greedy_tuple(9, 5)):
         for op in t.ops:
-            reference = np.linalg.norm(op.toarray().astype(float), 2)
+            reference = np.linalg.norm(to_dense(op).astype(float), 2)
             assert abs(operator_norm(op) - reference) <= 1e-12 * max(reference, 1.0)
 
 
-def test_operator_norm_rejects_two_nonzeros_in_a_column():
+def test_load_tuple_rejects_two_nonzeros_in_a_column(tmp_path):
     _, t = sts_tuple(7)
-    edited = t.ops[0].tolil()
-    col = t.basis.index[("e", ())]
-    edited[t.basis.index[("e", (1,))], col] = 1  # T_0 e already has e(0)
-    with pytest.raises(ValidationError, match="column"):
-        operator_norm(edited.tocsc())
+    save_tuple(t, tmp_path)
+    path = tmp_path / "operators.txt"
+    col, row = t.basis.index[("e", ())], t.basis.index[("e", (1,))]
+    with open(path, "a") as fh:
+        fh.write(f"0 {row} {col} 1\n")  # T_0 e already has e(0)
+    where = len(path.read_text().splitlines())
+    with pytest.raises(ValidationError, match=rf"operators.txt: line {where}: operator 0 "
+                                              rf"has a second nonzero in column {col};"):
+        load_tuple(tmp_path)
+    with open(path, "a") as fh:  # the second nonzero cancelled: a column map again
+        fh.write(f"0 {row} {col} -1\n")
+    loaded = load_tuple(tmp_path)
+    assert all(np.array_equal(a.rows, b.rows) and np.array_equal(a.vals, b.vals)
+               for a, b in zip(loaded.ops, t.ops))
+
+
+def test_load_tuple_sums_repeated_entries(tmp_path):
+    _, t = sts_tuple(7)
+    save_tuple(t, tmp_path)
+    e, e0, f0 = (t.basis.index[v] for v in (("e", ()), ("e", (0,)), ("f", 0)))
+    with open(tmp_path / "operators.txt", "a") as fh:
+        fh.write(f"0 {e0} {e} 2\n")  # T_0 e = e(0) becomes 3 e(0)
+        fh.write(f"0 {t.basis.g_index()} {f0} -1\n")  # T_0 f_0 = g cancels
+    loaded = load_tuple(tmp_path)
+    assert (loaded.ops[0].rows[e], loaded.ops[0].vals[e]) == (e0, 3)
+    assert (loaded.ops[0].rows[f0], loaded.ops[0].vals[f0]) == (-1, 0)
+    assert operator_norm(loaded.ops[0]) == math.sqrt(9)
 
 
 def test_contraction_normalize():
@@ -303,7 +388,7 @@ def test_apply_polynomial_kills_g():
 
 def dense_polynomial(p, t, scale):
     """scale^k sum_B s_B T_{b_1} ... T_{b_k} as a dense float matrix."""
-    dense = [scale * op.toarray().astype(float) for op in t.ops]
+    dense = [scale * to_dense(op).astype(float) for op in t.ops]
     return sum(float(sign) * reduce(np.matmul, [dense[j] for j in block])
                for block, sign in zip(p.system.blocks, p.signs))
 
@@ -331,22 +416,22 @@ def test_apply_polynomial_scale():
 
 @pytest.mark.parametrize("walk_entries", [1 << 16, 1])
 def test_apply_polynomial_walks_general_matrices(monkeypatch, walk_entries):
-    # operators no build produces, as load_tuple can give: T_0 has two nonzeros in
-    # column 3 and T_1 none, and the T_l do not commute, so the order is checked too;
-    # walk_entries = 1 walks one block per chunk
+    # operators no build produces, as load_tuple can give: random column maps that
+    # need not raise the grade, with empty columns, and the T_l do not commute, so the
+    # order is checked too; walk_entries = 1 walks one block per chunk
     monkeypatch.setattr(operators, "_WALK_ENTRIES", walk_entries)
     system = PartialSteinerSystem(5, 3, 2, ((0, 1, 2), (0, 3, 4)))
     p = SteinerPolynomial(system, np.array([1, -1]))
     basis = build_basis(5, 3)
     rng = np.random.default_rng(3)
-    shape = (5, basis.dim, basis.dim)
-    dense = rng.integers(-2, 3, shape) * (rng.random(shape) < 0.4)
-    dense[0, :, 3] = 0
-    dense[0, [2, 7], 3] = (1, -2)
-    dense[1, :, 3] = 0
+    shape = (5, basis.dim)
+    rows = np.where(rng.random(shape) < 0.8, rng.integers(0, basis.dim, shape), -1)
+    rows[1, 3] = -1
+    vals = np.where(rows >= 0, rng.choice([-2, -1, 1, 2], shape), 0)
+    t = OperatorTuple(basis, [ColumnMap(r, v) for r, v in zip(rows, vals)], p)
+    dense = np.stack([to_dense(op) for op in t.ops])
     assert not np.array_equal(dense[0] @ dense[1], dense[1] @ dense[0])
-    t = OperatorTuple(basis, [sparse.csc_array(d) for d in dense], p)
-    assert np.diff(t.ops[0].indptr)[3] == 2 and np.diff(t.ops[1].indptr)[3] == 0
+    assert not np.any(dense[1][:, 3])
     exact = sum(sign * dense[a] @ dense[b] @ dense[c]
                 for (a, b, c), sign in zip(system.blocks, (1, -1)))
     reference = dense_polynomial(p, t, 1.0)
@@ -441,7 +526,7 @@ def test_lincomb_matches_polarization_identity():
 def dense_lincomb(t, q, starts, iters, seed):
     """The alternation of linear_combination_sup on full dim x dim matrices."""
     qp = q / (q - 1.0)
-    dense = [op.toarray().astype(complex) for op in t.ops]
+    dense = [to_dense(op).astype(complex) for op in t.ops]
     best = 0.0
     for s_idx in range(starts):
         rng = rng_for(seed, "lincomb", s_idx)
@@ -508,7 +593,7 @@ def test_tuple_roundtrip(tmp_path):
     loaded = load_tuple(tmp_path / "op")
     assert loaded.dim == t.dim and loaded.scale == t.scale
     for a, b in zip(loaded.ops, t.ops):
-        assert (a - b).nnz == 0
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.vals, b.vals)
     assert np.array_equal(loaded.polynomial.signs, p.signs)
 
 

@@ -35,9 +35,9 @@ def signed(system, data):
 
 
 def entries(op):
-    """(col, row, value) triples of a sparse operator, sorted."""
-    coo = op.tocoo()
-    return sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
+    """(col, row, value) triples of an operator's column map, sorted."""
+    cols = np.flatnonzero(op.rows >= 0)
+    return sorted(zip(cols.tolist(), op.rows[cols].tolist(), op.vals[cols].tolist()))
 
 
 def same_cell(a, b):
