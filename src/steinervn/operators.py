@@ -249,8 +249,7 @@ def check_commuting(t: OperatorTuple) -> CommutationReport:
             i = int(np.flatnonzero(fails.any(axis=1))[0])
             entries = []
             for c in np.flatnonzero(fails[i]).tolist():
-                (r1, v1), (r2, v2) = ((int(lm_rows[i, c]), int(lm_vals[i, c])),
-                                      (int(ml_rows[i, c]), int(ml_vals[i, c])))
+                r1, v1, r2, v2 = (int(a[i, c]) for a in (lm_rows, lm_vals, ml_rows, ml_vals))
                 if r1 == r2:
                     entries.append((r1, c, v1 - v2))
                 else:
