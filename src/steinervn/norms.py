@@ -87,7 +87,70 @@ def _check_q(q):
 # Projected gradient ascent
 # ---------------------------------------------------------------------------
 
-def _align_burnin(p, z, q, sign_rows=None):
+# Relative room of the cut's bounds: more than any point the ascent holds lies off the
+# unit q-sphere (_qnorm_error plus 710 u / q, n up to 10^5) or the bounds round by.
+_CUT_ROOM = 2.0 ** -30
+
+
+class _Cut:
+    """Branch-and-bound cut of the sign rows of one estimate_norm call with a ceiling.
+
+    A sign row's value, as _certify returns it, is taken at its best start's
+    final point w, whose computed |p|^2 is at least F, the largest |p|^2 its
+    starts have computed so far (a start's |p|^2 only rises).  With
+    u = 2^-53, e = _qnorm_error(q, n), rho = _CUT_ROOM, a = 12 m (m + 7k) u,
+    the value lies in [lo sqrt(F) - a, hi sqrt(F) + a], the upper end once F
+    is final, where lo = (1 - 6e - 3 rho)^k and hi = (1 + 6e + 3 rho)^k.
+    The points the ascent holds have coordinates of modulus at most 1 + rho,
+    so their block terms have sum |t_J| <= 2m, and a is twice the sum of:
+    three kernel roundings, gamma_m sum |t_J| for the sum and 3ku sum |t_J|
+    for the products each (a burn-in value to |p|, the ascent's first value,
+    |p(w)|: 6m (m + 3k) u); the move of a burn-in point onto the torus, 4u a
+    coordinate (8kmu); the scaled witness's rounding, gamma_k sum |t_J|
+    (2kmu); and _certified's 3ku sum |t_J| slack, in its fsum and
+    subtracted (12kmu).  lo and hi hold _certify's (1 - 3e - 4u) shrink over
+    a computed norm within (1 + e)(1 + rho) of 1 and the renormalization of
+    a burn-in point at finite q, per coordinate; the margin of rho over u
+    holds the rest (|p|^2, its root, _certified's 1 - 5u, these bounds).
+
+    A call stops every row of a sign row (at the top of a burn-in step, an
+    ascent iteration or a Newton pass) once its lower end exceeds the bound:
+    the ceiling, or the smaller upper end of a sign row of the call that is
+    done for good (``settled``: no row left in the last stage) and was not
+    stopped.  A stopped row's value, and its full-budget value, then exceed
+    the bound, which is at least some sign row's value, so neither is the
+    minimum.  The full-budget claim assumes that the start holding F would
+    not have been discarded later, so after a call's first discard or
+    non-finite burn-in value it stops no more rows.
+    """
+
+    def __init__(self, p, q, ceiling, sign_row_count, starts):
+        e, k, m = _qnorm_error(q, p.n), p.k, p.num_terms
+        self.lo = (1.0 - 6 * e - 3 * _CUT_ROOM) ** k
+        self.hi = (1.0 + 6 * e + 3 * _CUT_ROOM) ** k
+        self.room = 12 * m * (m + 7 * k) * 2.0 ** -53
+        self.ceiling, self.starts = float(ceiling), starts
+        self.stopped = np.zeros(sign_row_count, dtype=bool)
+        self.off = False
+
+    def __call__(self, live, f, settled):
+        """Mask of the rows of ``live`` whose sign row goes on, given every row's best
+        |p|^2 so far in f (NaN once discarded)."""
+        if self.off or not np.isfinite(f).all():
+            self.off = True
+            return np.ones(len(live), dtype=bool)
+        top = np.sqrt(f.reshape(-1, self.starts).max(axis=1))
+        running = np.zeros(len(top), dtype=bool)
+        running[live // self.starts] = True
+        bound = self.ceiling
+        if settled:
+            done = ~running & ~self.stopped
+            bound = min(bound, float(self.hi * top[done].min(initial=inf)) + self.room)
+        self.stopped |= running & (self.lo * top - self.room > bound)
+        return ~self.stopped[live // self.starts]
+
+
+def _align_burnin(p, z, q, sign_rows=None, cut=None):
     """Sharpen random starts, one per row of z, by Hoelder alignment before the ascent.
 
     Each step replaces a row z with the unit-q-norm point maximizing the
@@ -99,16 +162,26 @@ def _align_burnin(p, z, q, sign_rows=None):
     vanish, or whose aligned point has a q-norm below the smallest normal
     float, stays where it is.  Degenerate for q = 1 (the linearized optimum
     is a single coordinate), so callers skip it there.  For a family p,
-    ``sign_rows`` gives the sign row of each row of z.
+    ``sign_rows`` gives the sign row of each row of z.  Between steps a
+    ``cut`` (see _Cut) drops the rows of sign rows that cannot reach its
+    ceiling's minimum; they keep the best point they have seen.
     """
     best_f, best_z = np.full(len(z), -1.0), z.copy()
+    held = np.arange(len(z))  # the rows of best_f and best_z that z holds
     for step in range(BURNIN_STEPS + 1):
         val, part = value_and_partials(p, z, sign_rows)
         f = np.abs(val) ** 2
-        better = f > best_f
-        best_f[better], best_z[better] = f[better], z[better]
+        better = f > best_f[held]
+        best_f[held[better]], best_z[held[better]] = f[better], z[better]
         if step == BURNIN_STEPS:
             break
+        if cut is not None:
+            cut.off |= not np.isfinite(f).all()  # a non-finite value foretells a discard
+            keep = cut(held, best_f, settled=False)
+            if not keep.all():
+                held, z, part, sign_rows = held[keep], z[keep], part[keep], _subset(sign_rows, keep)
+                if not held.size:
+                    break
         mods = np.abs(part)
         w = np.conj(part)
         if q == inf:  # a row whose partials vanish or are NaN stays put, without a warning
@@ -145,7 +218,8 @@ def _discard(f, rows, reason, sign_rows):
     f[rows] = np.nan
 
 
-def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_rows=None):
+def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_rows=None,
+                   cut=None, settles=True):
     """Backtracking gradient ascent of |p|^2, one start per row of x.
 
     ``to_point`` maps states to the points p is evaluated at,
@@ -166,8 +240,9 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     passes of 8 steps.  The passes change only the cost, not the steps taken.
     A row whose direction, or a candidate value at or before the step it
     takes, turns non-finite is discarded with a warning and its |p|^2 set to
-    NaN.  Returns (points, |p|^2, iterations per row); x ends at the final
-    states.
+    NaN.  A ``cut`` (see _Cut) drops rows at the top of each iteration;
+    ``settles`` says no stage follows, so rows that stop are done for good.
+    Returns (points, |p|^2, iterations per row); x ends at the final states.
     """
     z = to_point(x)
     f = np.abs(evaluate_many(p, z, sign_rows)) ** 2
@@ -177,6 +252,8 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     iters = np.zeros(num, dtype=np.int64)
     live = np.arange(num)
     for _ in range(max_iters):
+        if cut is not None:
+            live = live[cut(live, f, settles)]
         if not live.size:
             break
         iters[live] += 1
@@ -234,7 +311,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     return z, f, iters
 
 
-def _phase_ascent(p, theta, max_iters, tol, sign_rows=None):
+def _phase_ascent(p, theta, max_iters, tol, sign_rows=None, cut=None):
     """Ascent of |p(e^{i theta})|^2 over the torus, one start per row of theta.
 
     Each row takes gradient steps (_armijo_ascent) until its relative gain
@@ -251,10 +328,12 @@ def _phase_ascent(p, theta, max_iters, tol, sign_rows=None):
         del theta  # the gathered states: freed before the points are made
         return grad, True
 
+    newton = tol < NEWTON_SWITCH
     z, f, iters = _armijo_ascent(p, theta, _torus_points, direction, step, max_iters,
-                                 max(tol, NEWTON_SWITCH), "phase ascent", sign_rows)
-    if tol < NEWTON_SWITCH:
-        _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows)
+                                 max(tol, NEWTON_SWITCH), "phase ascent", sign_rows, cut,
+                                 settles=not newton)
+    if newton:
+        _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows, cut)
     return z, f, iters
 
 
@@ -327,7 +406,7 @@ def _newton_steps(grad, hess, mu):
     return d
 
 
-def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None):
+def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None, cut=None):
     """Damped Newton (Levenberg-Marquardt) ascent of |p(e^{i theta})|^2 from each row's
     state, updating theta, z = e^{i theta}, f = |p(z)|^2 and iters in place.
 
@@ -340,11 +419,16 @@ def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None):
     max_iters.  A row whose step or candidate value turns non-finite is
     discarded with a warning.  The Hessians are built and solved in the
     kernels' row tiles, of about TILE_MONOMIALS entries per (rows, n, n) array.
+    A ``cut`` (see _Cut) drops rows at the top of each pass.
     """
     n = p.n
     mu = f.copy()
     live = np.flatnonzero(~np.isnan(f) & (iters < max_iters))
-    while live.size:
+    while True:
+        if cut is not None:
+            live = live[cut(live, f, settled=True)]
+        if not live.size:
+            break
         iters[live] += 1
         grad, d = np.empty((len(live), n)), np.empty((len(live), n))
         for tile in row_tiles(len(live), n * n):
@@ -404,7 +488,7 @@ def _qnorm_rows(points: np.ndarray, q) -> np.ndarray:
     return mods.sum(axis=1) ** (1.0 / q)
 
 
-def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None):
+def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None, cut=None):
     """Ascent of the scale-invariant |p(z)|^2 / ||z||_q^{2k}, one start per row.
 
     The search direction is the gradient of the quotient, which vanishes at
@@ -428,7 +512,7 @@ def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None):
 
     z = z / qnorm(z, q)[:, None]
     return _armijo_ascent(p, z, lambda z: z, direction, step, max_iters, tol, "sphere ascent",
-                          sign_rows)
+                          sign_rows, cut)
 
 
 def _qnorm_error(q, n):
@@ -486,7 +570,7 @@ def _certify(p, witness, q, method, starts, iterations, seed):
 
 def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
                   max_iters: int = Budgets.iters, tol: float = Budgets.tol,
-                  seed=0) -> NormEstimate:
+                  seed=0, ceiling=None) -> NormEstimate:
     """Best witness over ``starts`` runs of projected gradient ascent.
 
     For q = inf the ascent runs over phase vectors z_j = e^{i theta_j} (the
@@ -498,15 +582,25 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
     together, as the rows of one array, so each step costs one batched
     kernel call; every row keeps its own line search or damping, stop rule
     and iteration count, and computes to the bit what it would compute
-    alone.  So enlarging ``starts`` keeps all earlier starts and the result
-    is nondecreasing.  A start whose values turn non-finite is discarded
-    with a warning; if all are, ConvergenceError is raised.
+    alone.  So with ``ceiling=None`` enlarging ``starts`` keeps all earlier
+    starts and the result is nondecreasing.  A start whose values turn
+    non-finite is discarded with a warning; if all are, ConvergenceError is
+    raised.
 
     A family p (signs of shape (R, m)) takes one seed per sign row, and its
-    R * starts rows run as one batch: row r computes exactly what
-    ``estimate_norm(SteinerPolynomial(p.system, p.signs[r]), q, starts,
-    max_iters, tol, seed[r])`` computes, and the NormEstimate holds one
-    value and witness per row (see NormEstimate).
+    R * starts rows run as one batch: with ``ceiling=None``, row r computes
+    exactly what ``estimate_norm(SteinerPolynomial(p.system, p.signs[r]),
+    q, starts, max_iters, tol, seed[r])`` computes, and the NormEstimate
+    holds one value and witness per row (see NormEstimate).
+
+    A ``ceiling``, the smallest value of sign rows scored before, is for a
+    caller that wants only the sign row of smallest full-budget value: the
+    call stops the starts of a sign row once rounding bounds show that its
+    value will exceed the ceiling or a finished sign row's value (see
+    _Cut).  Every sign row it does not stop computes exactly what it
+    computes with ``ceiling=None``; a stopped one is certified at its best
+    point so far, a certified lower bound above that bound rather than its
+    full-budget value.  Iterations count the steps taken.
     """
     _check_q(q)
     if starts < 1:
@@ -526,15 +620,16 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
 
     rngs = [rng_for(s, "start", i) for s in seeds for i in range(starts)]
     sign_rows = np.repeat(np.arange(num), starts) if p.is_family else None
+    cut = None if ceiling is None else _Cut(p, q, ceiling, num, starts)
     if q == inf:
         z0 = np.exp(1j * np.array([rng.uniform(0.0, 2.0 * np.pi, size=n) for rng in rngs]))
-        theta = np.angle(_align_burnin(p, z0, q, sign_rows))
-        points, f, iters = _phase_ascent(p, theta, max_iters, tol, sign_rows)
+        theta = np.angle(_align_burnin(p, z0, q, sign_rows, cut))
+        points, f, iters = _phase_ascent(p, theta, max_iters, tol, sign_rows, cut)
     else:
         z0 = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
         if q > 1:
-            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q, sign_rows)
-        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol, sign_rows)
+            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q, sign_rows, cut)
+        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol, sign_rows, cut)
     f = f.reshape(num, starts)
     kept = ~np.isnan(f)  # discarded starts hold NaN
     if not kept.any(axis=1).all():

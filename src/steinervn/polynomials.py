@@ -314,7 +314,9 @@ class Budgets:
     re-estimated with ``starts``, ``iters`` and ``tol``.  The search scores
     the rounds in families of ``starts // search_starts`` patterns (at least
     one), so no search batch holds more rows than the final estimate.  The
-    lincomb_* settings drive the joint-condition sup of the d32 experiment.
+    search_* settings are each round's most: a round that provably cannot
+    be the minimum stops early (see best_of_signs).  The lincomb_* settings
+    drive the joint-condition sup of the d32 experiment.
     """
 
     rounds: int = 32
@@ -340,6 +342,13 @@ def best_of_signs(system: PartialSteinerSystem, q, rounds: int, seed: int,
     lowest round index.  The rounds are scored as families of
     ``budgets.starts // budgets.search_starts`` sign rows (at least one), one
     estimate_norm call each: two calls of 16 rounds at the defaults.
+
+    Each call takes the smallest score so far as its ``ceiling`` (inf for
+    the first), so it stops a round once rounding bounds show that its
+    score will exceed that one or a finished round's of the same call.  The
+    winner, its score and the final estimate are those of scoring every
+    round in full; a stopped round's score is a certified lower bound above
+    the winner's, not its full-budget score.
     """
     from .norms import estimate_norm  # deferred: norms imports this module's types
 
@@ -353,7 +362,8 @@ def best_of_signs(system: PartialSteinerSystem, q, rounds: int, seed: int,
         signs += [random_signs(system, derive_seed(seed, "round", r)) for r in batch]
         est = estimate_norm(SteinerPolynomial(system, np.stack(signs[lo:])), q,
                             starts=budgets.search_starts, max_iters=budgets.search_iters,
-                            tol=SEARCH_TOL, seed=[derive_seed(seed, "search", r) for r in batch])
+                            tol=SEARCH_TOL, seed=[derive_seed(seed, "search", r) for r in batch],
+                            ceiling=min(scores, default=math.inf))
         scores += est.value.tolist()
     best = int(np.argmin(scores))  # the first minimum: ties go to the lowest round
     poly = SteinerPolynomial(system, signs[best])

@@ -450,6 +450,65 @@ def test_family_start_poisoned_in_one_row_is_discarded_alone(monkeypatch, caplog
     assert np.abs(est.witness[1] - row1.witness).max() <= 1e-9
 
 
+def spy_cuts(monkeypatch):
+    """The _Cut of every estimate_norm call from now on, in call order."""
+    cuts = []
+
+    class Spy(norms._Cut):
+        def __init__(self, *args):
+            super().__init__(*args)
+            cuts.append(self)
+
+    monkeypatch.setattr(norms, "_Cut", Spy)
+    return cuts
+
+
+@pytest.mark.parametrize("system, q", [(skolem_construct(25), inf), (skolem_construct(49), 2.0),
+                                       (greedy_construct(10, 4, 2), 3.0),
+                                       (skolem_construct(19), 1.0)],
+                         ids=["sts25-inf", "sts49-2", "greedy10-4-3", "sts19-1"])
+def test_family_rows_under_a_ceiling_are_cut_only_above_a_reached_value(monkeypatch, system, q):
+    fam, seeds = family(system, 6, seed=3)
+    budgets = dict(starts=4, max_iters=150, tol=SEARCH_TOL)
+    alone = [estimate_norm(SteinerPolynomial(system, fam.signs[r]), q, seed=seed, **budgets)
+             for r, seed in enumerate(seeds)]
+    ceiling = float(np.median([a.value for a in alone]))
+    cuts = spy_cuts(monkeypatch)
+    est = estimate_norm(fam, q, seed=seeds, ceiling=ceiling, **budgets)
+    stopped = cuts[0].stopped
+    assert stopped.any() and not stopped.all()
+    assert recertify(fam, est)
+    for r in np.flatnonzero(~stopped):
+        assert est.value[r].hex() == alone[r].value.hex(), r
+        assert est.witness[r].tobytes() == alone[r].witness.tobytes(), r
+    # a stopped row lies above the ceiling or above a row of the call that finished
+    assert (est.value[stopped] > min(ceiling, est.value[~stopped].min())).all()
+    assert (est.value[stopped] > ceiling).any()
+    assert est.iterations < sum(a.iterations for a in alone)
+
+
+@pytest.mark.parametrize("q, ceiling", [(inf, 0.0), (2.0, 0.0), (1.0, 0.0032)])
+def test_a_discard_ends_the_cut_of_its_call(monkeypatch, caplog, q, ceiling):
+    # q = inf and 2: the poisoned start is non-finite from the burn-in on, and a ceiling of 0
+    # would cut every row at the first check; q = 1 has no burn-in, discards the start in
+    # the first ascent iteration, and its ceiling (values 0.0040, 0.0034, 0.0027) would cut
+    # sign rows 0 and 1 (the poisoned one) from the 28th check on
+    fam, seeds = family(seeded_poly(13, 3, 6).system, 3, seed=4)
+    budgets = dict(starts=4, max_iters=200, seed=seeds)
+    pruned = estimate_norm(fam, q, ceiling=ceiling, **budgets)
+    assert pruned.iterations < estimate_norm(fam, q, **budgets).iterations
+    poison_start(monkeypatch, fam, q, seed=seeds[1], bad=[3])
+    with caplog.at_level(logging.WARNING, logger=norms.__name__):
+        plain = estimate_norm(fam, q, **budgets)
+        warned = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        est = estimate_norm(fam, q, ceiling=ceiling, **budgets)
+    assert warned and [r.getMessage() for r in caplog.records] == warned
+    assert est.value.tobytes() == plain.value.tobytes()
+    assert est.witness.tobytes() == plain.witness.tobytes()
+    assert est.iterations == plain.iterations
+
+
 def test_recertify_rejects_a_family_estimate_with_one_moved_row():
     fam, seeds = family(greedy_construct(10, 4, 2), 4, seed=1)
     est = estimate_norm(fam, 3.0, starts=4, max_iters=150, seed=seeds)

@@ -359,28 +359,50 @@ def test_best_of_signs_rejects_zero_rounds():
 
 
 def round_loop(system, q, seed, budgets):
-    """best_of_signs as one search estimate per round: the loop the families replaced."""
-    best_round, best_poly, best_value = None, None, math.inf
+    """best_of_signs as one search estimate per round, each at its full search budget: the
+    loop the families and their cut replaced.  Returns (polynomial, estimate, search
+    iterations)."""
+    best_round, best_poly, best_value, iterations = None, None, math.inf, 0
     for r in range(budgets.rounds):
         poly = SteinerPolynomial(system, random_signs(system, derive_seed(seed, "round", r)))
         est = estimate_norm(poly, q, starts=budgets.search_starts,
                             max_iters=budgets.search_iters, tol=SEARCH_TOL,
                             seed=derive_seed(seed, "search", r))
+        iterations += est.iterations
         if est.value < best_value:
             best_round, best_poly, best_value = r, poly, est.value
-    return best_poly, estimate_norm(best_poly, q, starts=budgets.starts, max_iters=budgets.iters,
-                                    tol=budgets.tol, seed=derive_seed(seed, "final", best_round))
+    final = estimate_norm(best_poly, q, starts=budgets.starts, max_iters=budgets.iters,
+                          tol=budgets.tol, seed=derive_seed(seed, "final", best_round))
+    return best_poly, final, iterations
 
 
-@pytest.mark.parametrize("n, q", [(25, np.inf), (49, 2.0)])
+@pytest.mark.parametrize("system, q, budgets", [
+    (skolem_construct(25), np.inf, Budgets()),
+    (skolem_construct(49), 2.0, Budgets()),
+    (greedy_construct(26, 4, 0), np.inf, Budgets()),
+    (skolem_construct(25), 3.0, Budgets()),
+    (skolem_construct(19), 1.5, Budgets()),
+    (skolem_construct(13), np.inf, Budgets(rounds=5, starts=8, search_starts=3, iters=50)),
+], ids=["25-inf", "49-2.0", "greedy26-4-inf", "25-3.0", "19-1.5", "13-inf-three-families"])
 @pytest.mark.parametrize("seed", range(4))
-def test_best_of_signs_matches_the_round_loop(n, q, seed):
-    system, budgets = skolem_construct(n), Budgets()
+def test_best_of_signs_matches_the_round_loop(monkeypatch, system, q, budgets, seed):
+    # the cut stops rounds across families (a ceiling) and within one (finished rounds)
+    searched = []
+    estimate = norms.estimate_norm
+
+    def record(p, q, **kw):
+        est = estimate(p, q, **kw)
+        if p.is_family:
+            searched.append(est.iterations)
+        return est
+
+    monkeypatch.setattr(norms, "estimate_norm", record)
     poly, est = best_of_signs(system, q, budgets.rounds, seed, budgets)
-    ref_poly, ref = round_loop(system, q, seed, budgets)
+    ref_poly, ref, ref_searched = round_loop(system, q, seed, budgets)
     assert np.array_equal(poly.signs, ref_poly.signs)
     assert (est.value.hex(), est.iterations) == (ref.value.hex(), ref.iterations)
     assert est.witness.tobytes() == ref.witness.tobytes()
+    assert sum(searched) < ref_searched  # the cut fired
 
 
 def test_best_of_signs_scores_in_families_of_the_final_batch_size(monkeypatch):
