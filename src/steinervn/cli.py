@@ -28,11 +28,11 @@ from .defect import (FIT_FIELDS, Budgets, SweepConfig, d32_experiment,
 from .designs import (construct, density_report, load_system, save_system,
                       verify)
 from .errors import ConvergenceError, DomainError, ValidationError
-from .norms import estimate_norm
+from .norms import best_of_signs, estimate_norm
 from .operators import (build_operators, check_commuting, gram_diagonal_check,
                         load_tuple, operator_norm, save_tuple, sink_image)
 from .plotting import render_scatter
-from .polynomials import best_of_signs, load_polynomial, save_polynomial
+from .polynomials import load_polynomial, save_polynomial
 from .seeding import derive_seed
 
 

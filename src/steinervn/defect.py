@@ -27,10 +27,9 @@ import numpy as np
 
 from .designs import bose_construct, greedy_construct, skolem_construct
 from .errors import ConvergenceError, DomainError, ValidationError
-from .norms import ksz_polydisk_bound
+from .norms import Budgets, best_of_signs, ksz_polydisk_bound
 from .operators import (build_operators, contraction_normalize,
                         linear_combination_sup, polynomial_operator_norm)
-from .polynomials import Budgets, best_of_signs
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)

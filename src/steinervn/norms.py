@@ -1,10 +1,12 @@
-"""Sup-norm estimation on l_q balls, a brute-force oracle, analytic bounds.
+"""Sup-norm estimation on l_q balls, the sign search, a brute-force oracle, analytic bounds.
 
 estimate_norm produces certified LOWER bounds: the returned value is a lower
 bound, in IEEE-754 arithmetic, of the modulus of the polynomial at an
 explicit witness point inside the closed unit ball, recomputed with
-compensated summation independently of the optimizer.
-Upper bounds are analytic only (see analytic_bounds).
+compensated summation independently of the optimizer.  best_of_signs picks
+the flattest of seeded random sign patterns with it, scoring them with a
+ceiling whose cut (_Cut) keeps the choice exact; Budgets holds the settings
+of both.  Upper bounds are analytic only (see analytic_bounds).
 """
 
 import logging
@@ -14,10 +16,11 @@ from math import comb, factorial, inf, log
 
 import numpy as np
 
+from .designs import PartialSteinerSystem
 from .errors import ConvergenceError, DomainError
-from .polynomials import (Budgets, SteinerPolynomial, block_terms, evaluate_compensated,
-                          evaluate_many, row_tiles, value_and_partials)
-from .seeding import rng_for
+from .polynomials import (SteinerPolynomial, block_terms, evaluate_compensated, evaluate_many,
+                          random_signs, row_tiles, value_and_partials)
+from .seeding import derive_seed, rng_for
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +35,34 @@ ORACLE_MIN_RESOLUTION = 16
 ORACLE_SAMPLES = 1_000_000
 # The absolute constant D of the probabilistic polydisk bound, taken at its ceiling.
 KSZ_CONSTANT = 8.0
+
+# Relative-gain stop of the per-round search estimates; they only rank sign
+# patterns, so they stop well before the final estimate does.
+SEARCH_TOL = 1e-7
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """Optimizer settings for one ratio cell.
+
+    Each of the ``rounds`` candidate sign patterns is scored with the cheap
+    search_* settings, which only need to rank patterns; the winner is
+    re-estimated with ``starts``, ``iters`` and ``tol``.  The search scores
+    the rounds in families of ``starts // search_starts`` patterns (at least
+    one), so no search batch holds more rows than the final estimate.  The
+    search_* settings are each round's most: a round that provably cannot
+    be the minimum stops early (see best_of_signs).  The lincomb_* settings
+    drive the joint-condition sup of the d32 experiment.
+    """
+
+    rounds: int = 32
+    starts: int = 64
+    iters: int = 2000
+    tol: float = 1e-10
+    search_starts: int = 4
+    search_iters: int = 150
+    lincomb_starts: int = 6
+    lincomb_iters: int = 40
 
 
 @dataclass
@@ -121,7 +152,11 @@ class _Cut:
     the bound, which is at least some sign row's value, so neither is the
     minimum.  The full-budget claim assumes that the start holding F would
     not have been discarded later, so after a call's first discard or
-    non-finite burn-in value it stops no more rows.
+    non-finite burn-in value or partial it stops no more rows, and no row is
+    stopped before its first gradient is checked: the burn-in checks its
+    values and partials before each cut, and the Armijo ascent, which has no
+    burn-in before it at q = 1, makes its first check after its first
+    gradients and discards.
     """
 
     def __init__(self, p, q, ceiling, sign_row_count, starts):
@@ -175,8 +210,8 @@ def _align_burnin(p, z, q, sign_rows=None, cut=None):
         best_f[held[better]], best_z[held[better]] = f[better], z[better]
         if step == BURNIN_STEPS:
             break
-        if cut is not None:
-            cut.off |= not np.isfinite(f).all()  # a non-finite value foretells a discard
+        if cut is not None:  # a non-finite value or partial foretells a discard
+            cut.off |= not (np.isfinite(f).all() and np.isfinite(part).all())
             keep = cut(held, best_f, settled=False)
             if not keep.all():
                 held, z, part, sign_rows = held[keep], z[keep], part[keep], _subset(sign_rows, keep)
@@ -240,8 +275,10 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     passes of 8 steps.  The passes change only the cost, not the steps taken.
     A row whose direction, or a candidate value at or before the step it
     takes, turns non-finite is discarded with a warning and its |p|^2 set to
-    NaN.  A ``cut`` (see _Cut) drops rows at the top of each iteration;
-    ``settles`` says no stage follows, so rows that stop are done for good.
+    NaN.  A ``cut`` (see _Cut) drops the rows of sign rows it stopped before,
+    then rows after the first iteration's gradients and discards and at the
+    top of each later iteration; ``settles`` says no stage follows, so rows
+    that stop are done for good.
     Returns (points, |p|^2, iterations per row); x ends at the final states.
     """
     z = to_point(x)
@@ -251,8 +288,10 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     width = np.full(int(group.max(initial=0)) + 1, _LS_CHUNK)  # first-pass width per sign row
     iters = np.zeros(num, dtype=np.int64)
     live = np.arange(num)
-    for _ in range(max_iters):
-        if cut is not None:
+    if cut is not None and not cut.off:  # the sign rows a burn-in stopped stay stopped
+        live = live[~cut.stopped[live // cut.starts]]
+    for it in range(max_iters):
+        if cut is not None and it:
             live = live[cut(live, f, settles)]
         if not live.size:
             break
@@ -264,6 +303,8 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
         if not finite.all():
             _discard(f, live[~finite], f"non-finite gradient in {name}", sign_rows)
         searching = finite & (gn2 != 0.0)
+        if cut is not None and not it:  # no row is cut before its first gradient is checked
+            searching &= cut(live, f, settles)
         live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
         if not live.size:
             continue
@@ -337,21 +378,6 @@ def _phase_ascent(p, theta, max_iters, tol, sign_rows=None, cut=None):
     return z, f, iters
 
 
-def _gathered_sums(weights, *tables) -> list:
-    """Per incidence() table, the sums of the (N, m) block weights over its block
-    lists, shape (N,) + table.shape[1:].  Each gathered array is summed over its
-    leading slot axis, which numpy adds in order, so each sum runs in ascending
-    block order, one block after another from the first; a one-slot table is
-    its gather."""
-    padded = np.zeros((weights.shape[1] + 1, len(weights)), dtype=weights.dtype)
-    padded[:-1] = weights.T
-    sums = []
-    for table in tables:
-        gathered = np.take(padded, table, axis=0)
-        sums.append(np.moveaxis(gathered[0] if len(table) == 1 else gathered.sum(axis=0), -1, 0))
-    return sums
-
-
 def _torus_derivatives(p, z, sign_rows=None):
     """Gradient (N, n) and Hessian (N, n, n) of f(theta) = |p(e^{i theta})|^2 at the
     rows of z = e^{i theta}.
@@ -360,23 +386,20 @@ def _torus_derivatives(p, z, sign_rows=None):
     block-point incidence, g = z * dp/dz = M^T t and d^2 p / d theta_j
     d theta_l = -(sum of t_B over the blocks through j and l).  With
     w_B = Re(conj(p) t_B): grad f = -2 Im(conj(p) g) and Hess f =
-    2 Re(g g^H) - 2 M^T diag(w) M, both sums over blocks taken by
-    _gathered_sums with the kernel plan's incidence() tables (the pair table
-    off the diagonal, the point table on it).  Turning every phase by one
+    2 Re(g g^H) - 2 M^T diag(w) M, both sums over blocks taken by the
+    kernel plan's point_sums and pair_sums.  Turning every phase by one
     angle leaves f unchanged, so Hess f 1 = 0 and grad f . 1 = 0.
     """
-    points, pairs = p.kernel_plan().incidence()
+    plan = p.kernel_plan()
     terms = block_terms(p, z, sign_rows)
     val = terms.sum(axis=1)
-    g, = _gathered_sums(terms, points)
+    g = plan.point_sums(terms)
     grad = -2.0 * np.imag(np.conj(val)[:, None] * g)
     w = val.real[:, None] * terms.real + val.imag[:, None] * terms.imag
     del terms
     hess = g.real[:, :, None] * g.real[:, None, :]
     hess += g.imag[:, :, None] * g.imag[:, None, :]
-    cross, diag = _gathered_sums(w, pairs, points)
-    cross[:, np.arange(p.n), np.arange(p.n)] = diag
-    hess -= cross
+    hess -= plan.pair_sums(w)
     hess *= 2.0
     return grad, hess
 
@@ -463,28 +486,11 @@ def _torus_points(theta):
     return np.exp(z, out=z)
 
 
-def _sphere_normal(z, q):
-    """Complex packing of the gradient of ||z||_q at a unit vector (or at each row).
-
-    Entry j is z_j |z_j|^{q-2}; moduli are clamped below to keep the field
-    bounded for q < 2.
-    """
-    mods = np.abs(z)
-    safe = np.maximum(mods, 1e-12)
-    u = z * safe ** (q - 2.0)
-    u[mods == 0.0] = 0.0
-    return u
-
-
 def _qnorm_rows(points: np.ndarray, q) -> np.ndarray:
     mods = np.abs(points)
     if q == inf:
         return mods.max(axis=1)
-    if q == 1:
-        return mods.sum(axis=1)
     mods **= q  # in place: the moduli of a line-search pass are its largest temporary
-    if q == 2:
-        return np.sqrt(mods.sum(axis=1))
     return mods.sum(axis=1) ** (1.0 / q)
 
 
@@ -498,7 +504,11 @@ def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None, cut=None):
     def direction(z, f, val, partials):
         # conjugate of the packing 2 p conj(dp) of (df/dx, df/dy): a known defect (ROADMAP)
         grad_f = (2.0 * np.conj(val))[:, None] * partials
-        d = grad_f - (2.0 * p.k * f)[:, None] * _sphere_normal(z, q)
+        # the gradient z_j |z_j|^{q-2} of ||z||_q at unit rows, moduli clamped below for q < 2
+        mods = np.abs(z)
+        normal = z * np.maximum(mods, 1e-12) ** (q - 2.0)
+        normal[mods == 0.0] = 0.0
+        d = grad_f - (2.0 * p.k * f)[:, None] * normal
         return d, np.sum(d.real ** 2 + d.imag ** 2, axis=1)
 
     def step(z, alphas, d):
@@ -640,6 +650,47 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
                     int(iters[kept.reshape(-1)].sum()), seed)
 
 
+def best_of_signs(system: PartialSteinerSystem, q, rounds: int, seed: int,
+                  budgets: Budgets | None = None):
+    """Smallest estimated q-norm among ``rounds`` seeded random sign draws.
+
+    Returns (polynomial, estimate).  Every round is scored with the search
+    settings of ``budgets`` (default ``Budgets()``), and the estimate is
+    recomputed for the winning pattern with its ``starts``, ``iters`` and
+    ``tol``.  Round r draws its signs with seed derive_seed(seed, "round", r)
+    and is scored with seed derive_seed(seed, "search", r), so the candidate
+    set and every score are independent of evaluation order; ties go to the
+    lowest round index.  The rounds are scored as families of
+    ``budgets.starts // budgets.search_starts`` sign rows (at least one), one
+    estimate_norm call each: two calls of 16 rounds at the defaults.
+
+    Each call takes the smallest score so far as its ``ceiling`` (inf for
+    the first), so it stops a round once rounding bounds show that its
+    score will exceed that one or a finished round's of the same call.  The
+    winner, its score and the final estimate are those of scoring every
+    round in full; a stopped round's score is a certified lower bound above
+    the winner's, not its full-budget score.
+    """
+    if rounds < 1:
+        raise DomainError(f"rounds={rounds} must be >= 1")
+    budgets = budgets or Budgets()
+    per_family = max(1, budgets.starts // budgets.search_starts)
+    signs, scores = [], []
+    for lo in range(0, rounds, per_family):
+        batch = range(lo, min(lo + per_family, rounds))
+        signs += [random_signs(system, derive_seed(seed, "round", r)) for r in batch]
+        est = estimate_norm(SteinerPolynomial(system, np.stack(signs[lo:])), q,
+                            starts=budgets.search_starts, max_iters=budgets.search_iters,
+                            tol=SEARCH_TOL, seed=[derive_seed(seed, "search", r) for r in batch],
+                            ceiling=min(scores, default=inf))
+        scores += est.value.tolist()
+    best = int(np.argmin(scores))  # the first minimum: ties go to the lowest round
+    poly = SteinerPolynomial(system, signs[best])
+    final = estimate_norm(poly, q, starts=budgets.starts, max_iters=budgets.iters,
+                          tol=budgets.tol, seed=derive_seed(seed, "final", best))
+    return poly, final
+
+
 def recertify(p: SteinerPolynomial, est: NormEstimate) -> bool:
     """Independent check of both NormEstimate invariants: every witness row is inside the
     closed unit q-ball, and the value is the certified lower bound recomputed at it, to a
@@ -655,15 +706,6 @@ def recertify(p: SteinerPolynomial, est: NormEstimate) -> bool:
 # ---------------------------------------------------------------------------
 # Brute-force oracle (tests only)
 # ---------------------------------------------------------------------------
-
-def _decode_phases(ranks, resolution, dim):
-    digits = np.empty((ranks.size, dim), dtype=np.int64)
-    r = ranks.copy()
-    for j in range(dim):
-        digits[:, j] = r % resolution
-        r //= resolution
-    return digits * (2.0 * np.pi / resolution)
-
 
 def _local_phase_refine(p, theta, spacing):
     """Shrinking local grid around the best phase vector (first phase pinned)."""
@@ -740,7 +782,8 @@ def brute_force_norm(p: SteinerPolynomial, q, resolution: int) -> NormEstimate:
         for lo in range(0, total, chunk):
             ranks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
             thetas = np.zeros((ranks.size, n))
-            thetas[:, 1:] = _decode_phases(ranks, resolution, dim)
+            digits = np.unravel_index(ranks, (resolution,) * dim)[::-1]  # phase 1 varies fastest
+            thetas[:, 1:] = np.stack(digits, axis=1) * (2.0 * np.pi / resolution)
             vals = np.abs(evaluate_many(p, np.exp(1j * thetas)))
             j = int(np.argmax(vals))
             if vals[j] > best_val:

@@ -40,8 +40,8 @@ import numpy as np
 
 from .designs import binomial_table, line_ints, numbered_lines, verify
 from .errors import DomainError, ValidationError
-from .polynomials import (Budgets, SteinerPolynomial, load_polynomial,
-                          save_polynomial)
+from .norms import Budgets
+from .polynomials import SteinerPolynomial, load_polynomial, save_polynomial
 from .seeding import rng_for
 
 # Entry-magnitude budget before a product of two entries could overflow int64;

@@ -1,10 +1,12 @@
-"""Steiner unimodular polynomials: evaluation, partial derivatives, sign sampling.
+"""Steiner unimodular polynomials: evaluation, partial derivatives, block sums, sign sampling.
 
 A Steiner unimodular polynomial is a k-homogeneous polynomial
 p(z) = sum_J c_J * z_J whose support J runs over the blocks of a partial
 Steiner system with t = k-1 and whose coefficients c_J are +-1.  Every
 monomial is a product of k distinct variables, so these polynomials are
-tetrahedral by construction.
+tetrahedral by construction.  The search for flat sign patterns, which
+needs the norm estimator, is norms.best_of_signs; this module imports
+nothing from norms.
 """
 
 import math
@@ -14,8 +16,8 @@ import numpy as np
 
 from .designs import (PartialSteinerSystem, line_ints, numbered_lines, parse_system,
                       save_system)
-from .errors import DomainError, ValidationError
-from .seeding import derive_seed, rng_for
+from .errors import ValidationError
+from .seeding import rng_for
 
 # Most monomials one kernel pass holds: batched rows are processed in tiles
 # of this many monomials (a k-th of it in value_and_partials, which keeps k
@@ -88,7 +90,8 @@ class _KernelPlan:
     half of monomial i's term, goes to bin 2 (r n + blocks[i, pos]) + part.
     The bins are built for the largest tile seen and sliced for smaller
     ones; neither they nor the columns depend on the signs, nor do the
-    gather tables of ``incidence()``, which the torus Hessian uses.
+    gather tables of ``incidence()``, over which point_sums and pair_sums
+    add block weights for the torus Hessian.
     """
 
     def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
@@ -102,8 +105,7 @@ class _KernelPlan:
         """(points, pairs) gather tables over the m blocks and one zero column after
         them: points (r, n) lists the blocks through each point and pairs (s, n, n)
         those through each ordered pair j != l, each in ascending block order and
-        padded with m; pairs[:, j, j] is all m.  norms._gathered_sums sums block
-        weights over these lists."""
+        padded with m; pairs[:, j, j] is all m."""
         if self._incidence is None:
             blocks = np.stack(self.cols, axis=1)  # (m, k)
             m, k = blocks.shape
@@ -112,6 +114,31 @@ class _KernelPlan:
             self._incidence = (_gather_table(blocks, self._n, m),
                                _gather_table(cells, self._n ** 2, m).reshape(-1, self._n, self._n))
         return self._incidence
+
+    def point_sums(self, weights: np.ndarray) -> np.ndarray:
+        """M^T w for each row w of the (N, m) block weights, M the block-point
+        incidence: (N, n) sums over the blocks through each point."""
+        return self._sums(weights, self.incidence()[0])[0]
+
+    def pair_sums(self, weights: np.ndarray) -> np.ndarray:
+        """M^T diag(w) M for each row w of the (N, m) block weights: (N, n, n) sums
+        over the blocks through each pair j != l, and through j on the diagonal."""
+        points, pairs = self.incidence()
+        sums, diag = self._sums(weights, pairs, points)
+        sums[:, np.arange(self._n), np.arange(self._n)] = diag
+        return sums
+
+    @staticmethod
+    def _sums(weights, *tables) -> list:
+        """Per gather table, the sums of the (N, m) block weights over its block lists,
+        shape (N,) + table.shape[1:], from one padded copy of the weights.  Each
+        gathered array is summed over its leading slot axis, which numpy adds in
+        order, so each sum runs in ascending block order, one block after another
+        from the first; a one-slot table is its gather."""
+        padded = np.zeros((weights.shape[1] + 1, len(weights)), dtype=weights.dtype)
+        padded[:-1] = weights.T  # row m is the zero that the padding index reads
+        gathers = (np.take(padded, table, axis=0) for table in tables)
+        return [np.moveaxis(g[0] if len(g) == 1 else g.sum(axis=0), -1, 0) for g in gathers]
 
     def bins(self, rows: int) -> np.ndarray:
         if rows > self._bins.shape[1]:
@@ -298,78 +325,6 @@ def random_signs(system: PartialSteinerSystem, seed: int) -> np.ndarray:
     if system.num_blocks == 0:
         return np.zeros(0, dtype=np.int8)
     return (2 * rng.integers(0, 2, size=system.num_blocks, dtype=np.int8) - 1).astype(np.int8)
-
-
-# Relative-gain stop of the per-round search estimates; they only rank sign
-# patterns, so they stop well before the final estimate does.
-SEARCH_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class Budgets:
-    """Optimizer settings for one ratio cell.
-
-    Each of the ``rounds`` candidate sign patterns is scored with the cheap
-    search_* settings, which only need to rank patterns; the winner is
-    re-estimated with ``starts``, ``iters`` and ``tol``.  The search scores
-    the rounds in families of ``starts // search_starts`` patterns (at least
-    one), so no search batch holds more rows than the final estimate.  The
-    search_* settings are each round's most: a round that provably cannot
-    be the minimum stops early (see best_of_signs).  The lincomb_* settings
-    drive the joint-condition sup of the d32 experiment.
-    """
-
-    rounds: int = 32
-    starts: int = 64
-    iters: int = 2000
-    tol: float = 1e-10
-    search_starts: int = 4
-    search_iters: int = 150
-    lincomb_starts: int = 6
-    lincomb_iters: int = 40
-
-
-def best_of_signs(system: PartialSteinerSystem, q, rounds: int, seed: int,
-                  budgets: Budgets | None = None):
-    """Smallest estimated q-norm among ``rounds`` seeded random sign draws.
-
-    Returns (polynomial, estimate).  Every round is scored with the search
-    settings of ``budgets`` (default ``Budgets()``), and the estimate is
-    recomputed for the winning pattern with its ``starts``, ``iters`` and
-    ``tol``.  Round r draws its signs with seed derive_seed(seed, "round", r)
-    and is scored with seed derive_seed(seed, "search", r), so the candidate
-    set and every score are independent of evaluation order; ties go to the
-    lowest round index.  The rounds are scored as families of
-    ``budgets.starts // budgets.search_starts`` sign rows (at least one), one
-    estimate_norm call each: two calls of 16 rounds at the defaults.
-
-    Each call takes the smallest score so far as its ``ceiling`` (inf for
-    the first), so it stops a round once rounding bounds show that its
-    score will exceed that one or a finished round's of the same call.  The
-    winner, its score and the final estimate are those of scoring every
-    round in full; a stopped round's score is a certified lower bound above
-    the winner's, not its full-budget score.
-    """
-    from .norms import estimate_norm  # deferred: norms imports this module's types
-
-    if rounds < 1:
-        raise DomainError(f"rounds={rounds} must be >= 1")
-    budgets = budgets or Budgets()
-    per_family = max(1, budgets.starts // budgets.search_starts)
-    signs, scores = [], []
-    for lo in range(0, rounds, per_family):
-        batch = range(lo, min(lo + per_family, rounds))
-        signs += [random_signs(system, derive_seed(seed, "round", r)) for r in batch]
-        est = estimate_norm(SteinerPolynomial(system, np.stack(signs[lo:])), q,
-                            starts=budgets.search_starts, max_iters=budgets.search_iters,
-                            tol=SEARCH_TOL, seed=[derive_seed(seed, "search", r) for r in batch],
-                            ceiling=min(scores, default=math.inf))
-        scores += est.value.tolist()
-    best = int(np.argmin(scores))  # the first minimum: ties go to the lowest round
-    poly = SteinerPolynomial(system, signs[best])
-    final = estimate_norm(poly, q, starts=budgets.starts, max_iters=budgets.iters,
-                          tol=budgets.tol, seed=derive_seed(seed, "final", best))
-    return poly, final
 
 
 def relabel(p: SteinerPolynomial, perm) -> SteinerPolynomial:

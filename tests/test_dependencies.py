@@ -1,5 +1,7 @@
-"""numpy is the package's only runtime dependency: it runs with scipy blocked."""
+"""numpy is the package's only runtime dependency: it runs with scipy blocked; and
+the package's modules import one another without a cycle."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +52,40 @@ def test_pipeline_runs_without_scipy():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def import_graph() -> dict:
+    """Each module of the package -> the package modules it imports, at the top or
+    inside a function body; importing the package itself is an edge to __init__."""
+    package = ROOT / "src" / "steinervn"
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # the package is flat: level 0 or 1
+                base = ".".join(filter(None, ["steinervn" * node.level, node.module]))
+                imported = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for parts in (dotted.split(".") for dotted in imported):
+                if parts[0] == "steinervn":
+                    edges.add(parts[1] if parts[1:] and parts[1] in modules else "__init__")
+        edges.discard(name)
+        graph[name] = edges
+    return graph
+
+
+def test_module_imports_have_no_cycle():
+    graph = import_graph()
+    assert {"polynomials", "norms", "defect"} <= set(graph)
+    assert "norms" not in graph["polynomials"]  # the sign search lives in norms
+    left = dict(graph)
+    while left:  # peel off modules that import nothing left; a cycle stops the peeling
+        leaves = [name for name, edges in left.items() if not edges & set(left)]
+        assert leaves, f"import cycle among {sorted(left)}: " + str(
+            {name: sorted(edges & set(left)) for name, edges in sorted(left.items())})
+        for name in leaves:
+            del left[name]

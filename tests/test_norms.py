@@ -9,11 +9,10 @@ import pytest
 from steinervn import norms
 from steinervn.designs import PartialSteinerSystem, greedy_construct, skolem_construct
 from steinervn.errors import ConvergenceError, DomainError
-from steinervn.norms import (NormEstimate, analytic_bounds, brute_force_norm,
+from steinervn.norms import (SEARCH_TOL, NormEstimate, analytic_bounds, brute_force_norm,
                              estimate_norm, ksz_polydisk_bound, polarization_constant,
                              qnorm, recertify)
-from steinervn.polynomials import (SEARCH_TOL, SteinerPolynomial, random_signs,
-                                   value_and_partials)
+from steinervn.polynomials import SteinerPolynomial, random_signs, value_and_partials
 from steinervn.seeding import derive_seed
 
 
@@ -258,8 +257,9 @@ def test_torus_gather_tables_sum_in_block_order(system, rows):
     val = terms.sum(axis=1)
     w = val.real[:, None] * terms.real + val.imag[:, None] * terms.imag
     g, cross = reference_block_sums(p, terms, w)
-    assert np.array_equal(norms._gathered_sums(terms, points)[0], g)
-    off, diag = norms._gathered_sums(w, pairs, points)
+    plan = p.kernel_plan()
+    assert np.array_equal(plan.point_sums(terms), g)
+    off, diag = plan.pair_sums(w), plan.point_sums(w)
     assert np.array_equal(diag, np.diagonal(cross, axis1=1, axis2=2))
     off[:, np.arange(p.n), np.arange(p.n)] = diag
     assert np.array_equal(off, cross)
@@ -487,12 +487,13 @@ def test_family_rows_under_a_ceiling_are_cut_only_above_a_reached_value(monkeypa
     assert est.iterations < sum(a.iterations for a in alone)
 
 
-@pytest.mark.parametrize("q, ceiling", [(inf, 0.0), (2.0, 0.0), (1.0, 0.0032)])
+@pytest.mark.parametrize("q, ceiling", [(inf, 0.0), (2.0, 0.0), (1.0, 0.0032), (1.0, 1e-3)])
 def test_a_discard_ends_the_cut_of_its_call(monkeypatch, caplog, q, ceiling):
     # q = inf and 2: the poisoned start is non-finite from the burn-in on, and a ceiling of 0
-    # would cut every row at the first check; q = 1 has no burn-in, discards the start in
-    # the first ascent iteration, and its ceiling (values 0.0040, 0.0034, 0.0027) would cut
-    # sign rows 0 and 1 (the poisoned one) from the 28th check on
+    # would cut every row at the first check; q = 1 has no burn-in and discards the start in
+    # the first ascent iteration: a ceiling of 0.0032 (values 0.0040, 0.0034, 0.0027) would
+    # cut sign rows 0 and 1 (the poisoned one) from the 28th check on, and one of 1e-3 every
+    # sign row at the first check, which therefore follows the first gradients
     fam, seeds = family(seeded_poly(13, 3, 6).system, 3, seed=4)
     budgets = dict(starts=4, max_iters=200, seed=seeds)
     pruned = estimate_norm(fam, q, ceiling=ceiling, **budgets)

@@ -8,11 +8,11 @@ from steinervn import norms
 from steinervn.designs import PartialSteinerSystem, greedy_construct, skolem_construct
 from steinervn.errors import DomainError, ValidationError
 from steinervn.operators import build_operators
-from steinervn.polynomials import (SEARCH_TOL, TILE_MONOMIALS, Budgets, SteinerPolynomial,
-                                   best_of_signs, block_terms, evaluate_compensated,
-                                   evaluate_many, load_polynomial, random_signs, relabel,
-                                   save_polynomial, value_and_partials)
-from steinervn.norms import estimate_norm, ksz_polydisk_bound
+from steinervn.polynomials import (TILE_MONOMIALS, SteinerPolynomial, block_terms,
+                                   evaluate_compensated, evaluate_many, load_polynomial,
+                                   random_signs, relabel, save_polynomial, value_and_partials)
+from steinervn.norms import (SEARCH_TOL, Budgets, best_of_signs, estimate_norm,
+                             ksz_polydisk_bound)
 from steinervn.seeding import derive_seed
 
 
