@@ -7,9 +7,15 @@ Scaling the tuple by norm2^{-1/2} and applying the evaluation identity gives
 the defect surrogate |S| / norm2^{5/2}, compared against the reference curve
 n^2 / ln^{15/4} n.
 
-The l2 norm estimate is a lower bound of the true sup-norm, so the rescaled
-tuple generally still exceeds the joint condition; records carry a flag (and
-the measured sup) instead of silently pretending compliance.
+Every record is flagged, and that is a property of this scaling, not an
+error of the estimator.  For k = 3 the middle block A(alpha) of
+sum_j alpha_j T_j satisfies u^H A(alpha) v = 6 L(alpha, v, conj(u)), with L
+the symmetric trilinear form of p, and on a Hilbert space L has the norm of
+p, so the unscaled sup is 6 ||p||_2.  Scaled by norm2^{-1/2}, with
+norm2 <= ||p||_2, the sup is 6 ||p||_2 / sqrt(norm2) >= 6 sqrt(||p||_2),
+and ||p||_2 >= 3^{-3/2} (one block's normalized indicator) puts that at 2.6
+or more for every polynomial, however close norm2 is to ||p||_2.  Records
+carry the flag and the measured sup instead of pretending compliance.
 """
 
 from steinervn import Budgets, d32_experiment

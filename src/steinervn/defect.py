@@ -301,9 +301,9 @@ def d32_experiment(n: int, seed: int, budgets: Budgets | None = None) -> JointCo
     Builds the triple-system polynomial, scales the tuple by
     norm_est2^{-1/2}, measures sup over ||alpha||_2 = 1 of the scaled
     ||sum alpha_j T_j|| and reports ratio = |S| / norm_est2^{5/2} against the
-    reference curve n^2 / ln^{15/4} n.  The estimate norm_est2 is a lower
-    bound of the true sup-norm, so the rescaled tuple can exceed the
-    condition; the record flags that instead of failing.
+    reference curve n^2 / ln^{15/4} n.  The unscaled sup is 6 ||p||_2, so the
+    scaled one is 6 ||p||_2 / sqrt(norm_est2) >= 6 sqrt(||p||_2) > 2.6 for any
+    p: the flag reports this scaling, not estimator error.
     """
     if n < 7:
         raise DomainError(f"need n >= 7, got n={n}")

@@ -124,7 +124,7 @@ _CUT_ROOM = 2.0 ** -30
 
 
 class _Cut:
-    """Branch-and-bound cut of the sign rows of one estimate_norm call with a ceiling.
+    """Branch-and-bound cut of the sign rows of one estimate_norm call.
 
     A sign row's value, as _certify returns it, is taken at its best start's
     final point w, whose computed |p|^2 is at least F, the largest |p|^2 its
@@ -156,7 +156,8 @@ class _Cut:
     stopped before its first gradient is checked: the burn-in checks its
     values and partials before each cut, and the Armijo ascent, which has no
     burn-in before it at q = 1, makes its first check after its first
-    gradients and discards.
+    gradients and discards.  Every call has a cut; without a ceiling it is
+    off from the start and never stops a row.
     """
 
     def __init__(self, p, q, ceiling, sign_row_count, starts):
@@ -164,9 +165,9 @@ class _Cut:
         self.lo = (1.0 - 6 * e - 3 * _CUT_ROOM) ** k
         self.hi = (1.0 + 6 * e + 3 * _CUT_ROOM) ** k
         self.room = 12 * m * (m + 7 * k) * 2.0 ** -53
-        self.ceiling, self.starts = float(ceiling), starts
+        self.ceiling, self.starts = inf if ceiling is None else float(ceiling), starts
         self.stopped = np.zeros(sign_row_count, dtype=bool)
-        self.off = False
+        self.off = ceiling is None
 
     def __call__(self, live, f, settled):
         """Mask of the rows of ``live`` whose sign row goes on, given every row's best
@@ -185,7 +186,7 @@ class _Cut:
         return ~self.stopped[live // self.starts]
 
 
-def _align_burnin(p, z, q, sign_rows=None, cut=None):
+def _align_burnin(p, z, q, sign_rows, cut):
     """Sharpen random starts, one per row of z, by Hoelder alignment before the ascent.
 
     Each step replaces a row z with the unit-q-norm point maximizing the
@@ -196,10 +197,10 @@ def _align_burnin(p, z, q, sign_rows=None, cut=None):
     returned and certification happens downstream.  A row whose partials
     vanish, or whose aligned point has a q-norm below the smallest normal
     float, stays where it is.  Degenerate for q = 1 (the linearized optimum
-    is a single coordinate), so callers skip it there.  For a family p,
-    ``sign_rows`` gives the sign row of each row of z.  Between steps a
-    ``cut`` (see _Cut) drops the rows of sign rows that cannot reach its
-    ceiling's minimum; they keep the best point they have seen.
+    is a single coordinate), so callers skip it there.  ``sign_rows`` gives
+    the sign row of each row of z.  Between steps the ``cut`` (see _Cut)
+    drops the rows of sign rows that cannot reach its ceiling's minimum;
+    they keep the best point they have seen.
     """
     best_f, best_z = np.full(len(z), -1.0), z.copy()
     held = np.arange(len(z))  # the rows of best_f and best_z that z holds
@@ -210,13 +211,13 @@ def _align_burnin(p, z, q, sign_rows=None, cut=None):
         best_f[held[better]], best_z[held[better]] = f[better], z[better]
         if step == BURNIN_STEPS:
             break
-        if cut is not None:  # a non-finite value or partial foretells a discard
-            cut.off |= not (np.isfinite(f).all() and np.isfinite(part).all())
-            keep = cut(held, best_f, settled=False)
-            if not keep.all():
-                held, z, part, sign_rows = held[keep], z[keep], part[keep], _subset(sign_rows, keep)
-                if not held.size:
-                    break
+        # a non-finite value or partial foretells a discard
+        cut.off |= not (np.isfinite(f).all() and np.isfinite(part).all())
+        keep = cut(held, best_f, settled=False)
+        if not keep.all():
+            held, z, part, sign_rows = held[keep], z[keep], part[keep], sign_rows[keep]
+            if not held.size:
+                break
         mods = np.abs(part)
         w = np.conj(part)
         if q == inf:  # a row whose partials vanish or are NaN stays put, without a warning
@@ -238,13 +239,9 @@ _LS_CHUNK = 8  # width of every line-search pass after a step's first
 _LS_FIRST_MAX = 24  # widest first pass
 
 
-def _subset(sign_rows, idx):
-    return None if sign_rows is None else sign_rows[idx]
-
-
-def _discard(f, rows, reason, sign_rows):
+def _discard(p, f, rows, reason, sign_rows):
     for s in rows.tolist():
-        if sign_rows is None:
+        if not p.is_family:
             logger.warning("estimate_norm: start %d discarded (%s)", s, reason)
         else:  # a family's rows hold its sign rows' starts in order
             r = int(sign_rows[s])
@@ -253,8 +250,8 @@ def _discard(f, rows, reason, sign_rows):
     f[rows] = np.nan
 
 
-def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_rows=None,
-                   cut=None, settles=True):
+def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_rows, cut,
+                   settles=True):
     """Backtracking gradient ascent of |p|^2, one start per row of x.
 
     ``to_point`` maps states to the points p is evaluated at,
@@ -262,7 +259,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     its squared norm, and ``step(x, alphas, d)`` gives, for candidate rows of
     states x and directions d (fresh arrays it may overwrite) and one step
     size each, the candidate states with a mask of the usable ones (True:
-    all).  For a family p, ``sign_rows`` gives the sign row of each row of x,
+    all).  ``sign_rows`` gives each row's sign row (0 for one polynomial),
     sorted.  Each row keeps its own line search over the steps _ALPHAS (0.5,
     halving, Armijo constant 1e-4) and takes the first step that passes, and
     its own stop: zero gradient, no passing step, a relative gain below tol,
@@ -275,7 +272,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     passes of 8 steps.  The passes change only the cost, not the steps taken.
     A row whose direction, or a candidate value at or before the step it
     takes, turns non-finite is discarded with a warning and its |p|^2 set to
-    NaN.  A ``cut`` (see _Cut) drops the rows of sign rows it stopped before,
+    NaN.  The ``cut`` (see _Cut) drops the rows of sign rows it stopped before,
     then rows after the first iteration's gradients and discards and at the
     top of each later iteration; ``settles`` says no stage follows, so rows
     that stop are done for good.
@@ -284,32 +281,31 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     z = to_point(x)
     f = np.abs(evaluate_many(p, z, sign_rows)) ** 2
     num = len(x)
-    group = np.zeros(num, dtype=np.intp) if sign_rows is None else sign_rows
-    width = np.full(int(group.max(initial=0)) + 1, _LS_CHUNK)  # first-pass width per sign row
+    width = np.full(int(sign_rows.max(initial=0)) + 1, _LS_CHUNK)  # first-pass width per sign row
     iters = np.zeros(num, dtype=np.int64)
     live = np.arange(num)
-    if cut is not None and not cut.off:  # the sign rows a burn-in stopped stay stopped
+    if not cut.off:  # the sign rows a burn-in stopped stay stopped
         live = live[~cut.stopped[live // cut.starts]]
     for it in range(max_iters):
-        if cut is not None and it:
+        if it:
             live = live[cut(live, f, settles)]
         if not live.size:
             break
         iters[live] += 1
         z_live, f_live = z[live], f[live]
-        val, partials = value_and_partials(p, z_live, _subset(sign_rows, live))
+        val, partials = value_and_partials(p, z_live, sign_rows[live])
         d, gn2 = direction(z_live, f_live, val, partials)
         finite = np.isfinite(gn2)
         if not finite.all():
-            _discard(f, live[~finite], f"non-finite gradient in {name}", sign_rows)
+            _discard(p, f, live[~finite], f"non-finite gradient in {name}", sign_rows)
         searching = finite & (gn2 != 0.0)
-        if cut is not None and not it:  # no row is cut before its first gradient is checked
+        if not it:  # no row is cut before its first gradient is checked
             searching &= cut(live, f, settles)
         live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
         if not live.size:
             continue
         moving, deepest = [live[:0]], np.zeros(len(width), dtype=np.intp)
-        lo, hi = 0, width[group[live]]
+        lo, hi = 0, width[sign_rows[live]]
         while True:
             counts = hi - lo  # each row's run of step indices lo..hi-1 (never empty)
             owner = np.repeat(np.arange(live.size), counts)
@@ -319,7 +315,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             alphas, src = _ALPHAS[step_idx], live[owner]
             cands, usable = step(x[src], alphas, d[owner])
             points = to_point(cands)
-            fs = np.abs(evaluate_many(p, points, _subset(sign_rows, src))) ** 2
+            fs = np.abs(evaluate_many(p, points, sign_rows[src])) ** 2
             fs = np.where(usable, fs, -1.0)
             armijo = fs >= f_live[owner] + ARMIJO * alphas * gn2[owner]
             pick = np.minimum.reduceat(np.where(armijo, flat, len(fs)), first)  # first hit per row
@@ -329,7 +325,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
                 # a row fails at a non-finite value at or before the step it takes
                 first_bad = np.minimum.reduceat(np.where(bad, flat, len(fs)), first)
                 failed = first_bad <= np.where(ok, pick, first + counts - 1)
-                _discard(f, live[failed], "non-finite objective in line search", sign_rows)
+                _discard(p, f, live[failed], "non-finite objective in line search", sign_rows)
                 ok, settled = ok & ~failed, ok | failed
             took = ok.nonzero()[0]
             pick = pick[took]
@@ -338,7 +334,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             x[rows], z[rows], f[rows] = cands[pick], points[pick], f_new
             del cands, points  # the pass's largest arrays: freed before the next is made
             moving.append(rows[gain >= tol])
-            np.maximum.at(deepest, group[rows], step_idx[pick])
+            np.maximum.at(deepest, sign_rows[rows], step_idx[pick])
             if settled.all():
                 break
             searching = ~settled & (hi < len(_ALPHAS))
@@ -352,7 +348,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     return z, f, iters
 
 
-def _phase_ascent(p, theta, max_iters, tol, sign_rows=None, cut=None):
+def _phase_ascent(p, theta, max_iters, tol, sign_rows, cut):
     """Ascent of |p(e^{i theta})|^2 over the torus, one start per row of theta.
 
     Each row takes gradient steps (_armijo_ascent) until its relative gain
@@ -429,7 +425,7 @@ def _newton_steps(grad, hess, mu):
     return d
 
 
-def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None, cut=None):
+def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows, cut):
     """Damped Newton (Levenberg-Marquardt) ascent of |p(e^{i theta})|^2 from each row's
     state, updating theta, z = e^{i theta}, f = |p(z)|^2 and iters in place.
 
@@ -442,36 +438,35 @@ def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows=None, cut=No
     max_iters.  A row whose step or candidate value turns non-finite is
     discarded with a warning.  The Hessians are built and solved in the
     kernels' row tiles, of about TILE_MONOMIALS entries per (rows, n, n) array.
-    A ``cut`` (see _Cut) drops rows at the top of each pass.
+    The ``cut`` (see _Cut) drops rows at the top of each pass.
     """
     n = p.n
     mu = f.copy()
     live = np.flatnonzero(~np.isnan(f) & (iters < max_iters))
     while True:
-        if cut is not None:
-            live = live[cut(live, f, settled=True)]
+        live = live[cut(live, f, settled=True)]
         if not live.size:
             break
         iters[live] += 1
         grad, d = np.empty((len(live), n)), np.empty((len(live), n))
         for tile in row_tiles(len(live), n * n):
             rows = live[tile]
-            grad[tile], hess = _torus_derivatives(p, z[rows], _subset(sign_rows, rows))
+            grad[tile], hess = _torus_derivatives(p, z[rows], sign_rows[rows])
             d[tile] = _newton_steps(grad[tile], hess, mu[rows])
             del hess  # the tile's largest array: freed before the next is made
         slope = (grad[:, None, :] @ d[:, :, None])[:, 0, 0]  # each row's BLAS dot
         finite = np.isfinite(slope)
         if not finite.all():
-            _discard(f, live[~finite], "non-finite gradient in phase ascent", sign_rows)
+            _discard(p, f, live[~finite], "non-finite gradient in phase ascent", sign_rows)
         searching = finite & (grad != 0.0).any(axis=1)
         live, d, slope = live[searching], d[searching], slope[searching]
         cands = theta[live] + d
         points = _torus_points(cands)
         f_live = f[live]
-        fs = np.abs(evaluate_many(p, points, _subset(sign_rows, live))) ** 2
+        fs = np.abs(evaluate_many(p, points, sign_rows[live])) ** 2
         bad = ~np.isfinite(fs)
         if bad.any():
-            _discard(f, live[bad], "non-finite objective in Newton step", sign_rows)
+            _discard(p, f, live[bad], "non-finite objective in Newton step", sign_rows)
         took = fs >= np.maximum(f_live, f_live + ARMIJO * slope)
         mu[live] *= np.where(took, 0.25, 4.0)
         gain = (fs - f_live) / np.maximum(fs, 1e-300)
@@ -488,13 +483,11 @@ def _torus_points(theta):
 
 def _qnorm_rows(points: np.ndarray, q) -> np.ndarray:
     mods = np.abs(points)
-    if q == inf:
-        return mods.max(axis=1)
     mods **= q  # in place: the moduli of a line-search pass are its largest temporary
     return mods.sum(axis=1) ** (1.0 / q)
 
 
-def _sphere_ascent(p, z, q, max_iters, tol, sign_rows=None, cut=None):
+def _sphere_ascent(p, z, q, max_iters, tol, sign_rows, cut):
     """Ascent of the scale-invariant |p(z)|^2 / ||z||_q^{2k}, one start per row.
 
     The search direction is the gradient of the quotient, which vanishes at
@@ -555,7 +548,7 @@ def _certified(p, witness, q):
     u = 2.0 ** -53
     inside = qnorm(witness, q) <= 1.0 - _qnorm_error(q, p.n)
     sums = np.atleast_1d(evaluate_compensated(p, witness if p.is_family else witness[0]))
-    terms = block_terms(p, witness, np.arange(len(witness)) if p.is_family else None)
+    terms = block_terms(p, witness, np.arange(len(witness)))
     slack = 3 * p.k * u * np.abs(terms).sum(axis=1) + p.k * p.num_terms * 2.0 ** -1073
     values = [max(0.0, abs(complex(s)) * (1.0 - 5 * u) - e) for s, e in zip(sums, slack.tolist())]
     return inside, np.array(values)
@@ -603,14 +596,16 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
     q, starts, max_iters, tol, seed[r])`` computes, and the NormEstimate
     holds one value and witness per row (see NormEstimate).
 
-    A ``ceiling``, the smallest value of sign rows scored before, is for a
-    caller that wants only the sign row of smallest full-budget value: the
-    call stops the starts of a sign row once rounding bounds show that its
-    value will exceed the ceiling or a finished sign row's value (see
-    _Cut).  Every sign row it does not stop computes exactly what it
-    computes with ``ceiling=None``; a stopped one is certified at its best
-    point so far, a certified lower bound above that bound rather than its
-    full-budget value.  Iterations count the steps taken.
+    One polynomial runs as a family of one sign row, and every call has a
+    cut (_Cut), off without a ``ceiling``.  A ceiling, the smallest value
+    of sign rows scored before, is for a caller that wants only the sign
+    row of smallest full-budget value: the cut stops the starts of a sign
+    row once rounding bounds show that its value will exceed the ceiling or
+    a finished sign row's value.  Every sign row it does not stop computes
+    exactly what it computes with ``ceiling=None``; a stopped one is
+    certified at its best point so far, a certified lower bound above that
+    bound rather than its full-budget value.  Iterations count the steps
+    taken.
     """
     _check_q(q)
     if starts < 1:
@@ -629,8 +624,8 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
         return _certify(p, witness, q, "trivial", total, 0, seed)
 
     rngs = [rng_for(s, "start", i) for s in seeds for i in range(starts)]
-    sign_rows = np.repeat(np.arange(num), starts) if p.is_family else None
-    cut = None if ceiling is None else _Cut(p, q, ceiling, num, starts)
+    sign_rows = np.repeat(np.arange(num), starts)  # all 0 for one polynomial
+    cut = _Cut(p, q, ceiling, num, starts)
     if q == inf:
         z0 = np.exp(1j * np.array([rng.uniform(0.0, 2.0 * np.pi, size=n) for rng in rngs]))
         theta = np.angle(_align_burnin(p, z0, q, sign_rows, cut))

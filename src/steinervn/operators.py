@@ -362,7 +362,9 @@ def polynomial_operator_norm(t: OperatorTuple) -> float:
     Grades run from 0 (the source e) to k (the sink g) and every T_l raises
     the grade by one, so the degree-k polynomial kills every basis vector but
     e and p(T) = c g e^T with c = (p(T)e)_g, which is |S| (criterion A3).
-    The norm is |c| scale^k, with c taken from the exact integer image of e.
+    The norm is |c| scale^k, with c taken from the exact integer image of e:
+    the exact integer times the float scale ** k, so one pow and one product
+    round it, by a few ulps in either direction.
     """
     coefficient, graded = sink_image(t)
     if not graded:

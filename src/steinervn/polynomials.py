@@ -148,9 +148,9 @@ class _KernelPlan:
         return self._bins[:, :rows]
 
     def tile_signs(self, sign_rows, rows: slice) -> np.ndarray:
-        """The signs of a tile's points: (1, m) when all take row 0, else (rows, m)."""
-        if sign_rows is None:
-            return self.signs[:1]
+        """The signs of a tile's points: (1, m) for one sign row, else (rows, m)."""
+        if len(self.signs) == 1:
+            return self.signs
         return np.take(self.signs, sign_rows[rows], axis=0)
 
 
@@ -175,21 +175,21 @@ def _as_points(p: SteinerPolynomial, z, ndim: int) -> np.ndarray:
     return z
 
 
-def _sign_rows(p: SteinerPolynomial, sign_rows, num: int):
-    """The sign row of each of ``num`` point rows as an index array, or None when
-    every point takes p's one sign row."""
+def _sign_rows(p: SteinerPolynomial, sign_rows, num: int) -> np.ndarray:
+    """The sign row of each of ``num`` point rows as an index array; None, for one
+    polynomial, gives all zeros."""
     count = len(p.signs) if p.is_family else 1
     if sign_rows is None:
         if count > 1:
             raise ValidationError(f"a family of {count} sign rows needs one sign row per point")
-        return None
+        return np.zeros(num, dtype=np.intp)
     sign_rows = np.asarray(sign_rows)
     if sign_rows.shape != (num,) or sign_rows.dtype.kind not in "iu":
         raise ValidationError(f"sign_rows has shape {sign_rows.shape} and dtype "
                               f"{sign_rows.dtype}, expected ({num},) integers")
     if num and (sign_rows.min() < 0 or sign_rows.max() >= count):
         raise ValidationError(f"sign_rows outside [0, {count})")
-    return None if count == 1 else sign_rows
+    return sign_rows
 
 
 def row_tiles(num_rows: int, width: int):
@@ -200,9 +200,7 @@ def row_tiles(num_rows: int, width: int):
 
 def _sign_runs(sign_rows, rows: slice):
     """(run, sign row) for each run of equal sign rows in a tile; a run is a
-    slice of the tile's rows, and one sign row makes one run."""
-    if sign_rows is None:
-        return [(slice(0, rows.stop - rows.start), 0)]
+    slice of the tile's rows."""
     tile = sign_rows[rows]
     bounds = [0] + (np.flatnonzero(tile[1:] != tile[:-1]) + 1).tolist() + [len(tile)]
     return [(slice(lo, hi), tile[lo]) for lo, hi in zip(bounds, bounds[1:])]

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from steinervn import norms
 from steinervn.cli import _budgets_from, build_parser, main
 from steinervn.defect import Budgets, RatioRecord, fit_exponent
 from steinervn.designs import bose_construct, skolem_construct
@@ -309,6 +310,32 @@ def test_ratio_sweep_error_row_exits_one(tmp_path, capsys):
     assert [r["n"] for r in rows] == ["2", "7"]
     assert rows[0]["norm_method"].startswith("error:DomainError")
     assert (tmp_path / "sweep.csv.manifest.json").exists()
+
+
+def test_ratio_sweep_rejects_a_bad_integer_list(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run(capsys, "ratio", "sweep", "--k", "3", "--q", "inf",
+                               "--r", "inf", "--n", "7,x", "--seeds", "0", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert stderr == "error: bad integer list '7,x'\n"
+    assert not out.exists()
+
+
+def test_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
+    # every start's partials turn NaN, so estimate_norm discards them all and raises
+    path = tmp_path / "poly.txt"
+    save_polynomial(SteinerPolynomial(skolem_construct(7), np.ones(7)), path)
+    kernel = norms.value_and_partials
+
+    def poisoned(*args):
+        vals, partials = kernel(*args)
+        return vals * np.nan, partials * np.nan
+
+    monkeypatch.setattr(norms, "value_and_partials", poisoned)
+    code, stdout, stderr = run(capsys, "poly", "norm", "--poly", str(path), "--q", "inf",
+                               "--starts", "2", "--iters", "50", "--seed", "1")
+    assert code == 2 and stdout == ""
+    assert stderr == "non-convergence: all 2 ascent starts produced non-finite values\n"
 
 
 @pytest.mark.parametrize("q, r", [("inf", "nan"), ("nan", "inf")])

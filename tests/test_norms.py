@@ -332,6 +332,48 @@ def test_nonfinite_start_is_discarded_alone(monkeypatch, caplog, q, where):
     assert est.iterations == clean.iterations
 
 
+def poison_newton(monkeypatch, where):
+    """NaN the last row's Newton step (``where="step"``) or candidate point (``"value"``)
+    in the first Newton pass; the gradient stage before it runs clean."""
+    steps, points = norms._newton_steps, norms._torus_points
+    passes = []
+
+    def newton_steps(grad, hess, mu):
+        d = steps(grad, hess, mu)
+        passes.append(len(d))
+        if where == "step" and len(passes) == 1:
+            d[-1] = np.nan
+        return d
+
+    def torus_points(theta):
+        z = points(theta)
+        if where == "value" and len(passes) == 1:
+            z[-1] = np.nan
+            passes.append(0)  # one candidate pass only
+        return z
+
+    monkeypatch.setattr(norms, "_newton_steps", newton_steps)
+    monkeypatch.setattr(norms, "_torus_points", torus_points)
+    return passes
+
+
+@pytest.mark.parametrize("where, reason", [("step", "non-finite gradient in phase ascent"),
+                                           ("value", "non-finite objective in Newton step")])
+def test_nonfinite_newton_start_is_discarded_alone(monkeypatch, caplog, where, reason):
+    # the last start is poisoned after its gradient stage: the other three run unchanged
+    p = seeded_poly(13, 3, 6)
+    clean = estimate_norm(p, inf, starts=3, max_iters=200, seed=4)
+    passes = poison_newton(monkeypatch, where)
+    with caplog.at_level(logging.WARNING, logger=norms.__name__):
+        est = estimate_norm(p, inf, starts=4, max_iters=200, seed=4)
+    assert passes and passes[0] == 4  # every start reached the Newton stage
+    assert [r.getMessage() for r in caplog.records] == [
+        f"estimate_norm: start 3 discarded ({reason})"]
+    assert est.value.hex() == clean.value.hex()
+    assert est.witness.tobytes() == clean.witness.tobytes()
+    assert est.iterations == clean.iterations
+
+
 def test_all_starts_nonfinite_raises(monkeypatch, caplog):
     p = seeded_poly(13, 3, 6)
     poison_start(monkeypatch, p, inf, seed=4, bad=range(3))
@@ -359,8 +401,10 @@ def test_line_search_discards_only_on_values_up_to_the_step_taken(caplog, poison
             cands[bad(alphas)] = np.nan
             return cands, True
 
+        # one polynomial: every row takes sign row 0, under a cut that is off
         return norms._armijo_ascent(p, theta.copy(), lambda t: np.exp(1j * t), direction, step,
-                                    5, 1e-10, "test")
+                                    5, 1e-10, "test", np.zeros(3, dtype=np.intp),
+                                    norms._Cut(p, inf, None, 1, 3))
 
     clean = ascent(lambda a: a < 0.0)
     with caplog.at_level(logging.WARNING, logger=norms.__name__):

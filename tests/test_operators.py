@@ -17,7 +17,7 @@ from steinervn.operators import (ColumnMap, OperatorTuple, apply_polynomial,
                                  linear_combination_sup, load_tuple,
                                  multiset_ranks, operator_norm,
                                  polynomial_operator_norm, save_tuple)
-from steinervn.polynomials import SteinerPolynomial, random_signs
+from steinervn.polynomials import SteinerPolynomial, random_signs, value_and_partials
 from steinervn.seeding import rng_for
 
 
@@ -198,15 +198,21 @@ def test_commuting_single_block():
 
 
 def test_commuting_detects_mutation():
-    # one value of T_0 flipped in grade 0 (T_0 e), 1 (an e(j)) or 2 (f_0); the
-    # report names the first failing pair and the commutator's first entry by (row, col)
+    # one value of T_0 flipped in grade 0 (T_0 e), 1 (an e(j)) or 2 (f_0), or T_0 e moved
+    # from e(0) to e(1), so that the two products land in different rows; the report
+    # names the first failing pair and the commutator's first entry by (row, col)
     _, t = sts_tuple(7)
+    mutations = []
     for grade in range(3):
         vals = t.ops[0].vals.copy()
         col = [c for c in range(*t.basis.offsets[grade:grade + 2]) if t.ops[0].rows[c] >= 0][0]
         vals[col] = -vals[col]
-        mutated = OperatorTuple(t.basis, [ColumnMap(t.ops[0].rows, vals)] + t.ops[1:],
-                                t.polynomial)
+        mutations.append(ColumnMap(t.ops[0].rows, vals))
+    rows = t.ops[0].rows.copy()
+    rows[t.basis.index[("e", ())]] = t.basis.index[("e", (1,))]
+    mutations.append(ColumnMap(rows, t.ops[0].vals))
+    for op in mutations:
+        mutated = OperatorTuple(t.basis, [op] + t.ops[1:], t.polynomial)
         report = check_commuting(mutated)
         assert not report.ok
         dense = [to_dense(op) for op in mutated.ops]
@@ -340,6 +346,32 @@ def test_load_tuple_rejects_two_nonzeros_in_a_column(tmp_path):
     loaded = load_tuple(tmp_path)
     assert all(np.array_equal(a.rows, b.rows) and np.array_equal(a.vals, b.vals)
                for a, b in zip(loaded.ops, t.ops))
+
+
+def moved_entry_tuple(tmp_path, col, row):
+    """STS(7) tuple read back from an operators.txt in which T_0's entry in column
+    ``col`` moved to ``row``."""
+    _, t = sts_tuple(7)
+    save_tuple(t, tmp_path)
+    col, row = t.basis.index[col], t.basis.index[row]
+    old_row, value = int(t.ops[0].rows[col]), int(t.ops[0].vals[col])
+    with open(tmp_path / "operators.txt", "a") as fh:
+        fh.write(f"0 {old_row} {col} {-value}\n0 {row} {col} {value}\n")
+    return load_tuple(tmp_path)
+
+
+def test_polynomial_operator_norm_rejects_an_image_off_the_sink(tmp_path):
+    # T_0 f_0 = f_1 instead of g: the blocks through 0 end p(T)e on f_1
+    t = moved_entry_tuple(tmp_path, ("f", 0), ("f", 1))
+    with pytest.raises(ValidationError, match="p\\(T\\)e has components off the sink g"):
+        polynomial_operator_norm(t)
+
+
+def test_lincomb_rejects_an_entry_that_does_not_raise_the_grade(tmp_path):
+    # T_0 e = f_0 instead of e(0): grade 0 to grade 2
+    t = moved_entry_tuple(tmp_path, ("e", ()), ("f", 0))
+    with pytest.raises(ValidationError, match="does not raise the grade by one"):
+        linear_combination_sup(t, 2.0, starts=1, iters=2)
 
 
 def test_load_tuple_sums_repeated_entries(tmp_path):
@@ -521,6 +553,49 @@ def test_lincomb_matches_polarization_identity():
     sup = linear_combination_sup(t, 2.0, starts=8, iters=60, seed=1)
     norm2 = estimate_norm(p, 2.0, starts=64, seed=2).value
     assert abs(sup - max(1.0, 6.0 * norm2)) <= 0.02 * sup
+
+
+def middle_block(t, alpha):
+    """The dense n x n block A(alpha) of sum_j alpha_j T_j from grade 1 (columns e(l))
+    to grade 2 (rows f_i), read off the column maps of a k = 3 tuple."""
+    e1 = [t.basis.index[("e", (l,))] for l in range(t.n)]
+    f = {t.basis.index[("f", i)]: i for i in range(t.n)}
+    a = np.zeros((t.n, t.n), dtype=complex)
+    for coeff, op in zip(alpha, t.ops):
+        for l, col in enumerate(e1):
+            if op.rows[col] in f:
+                a[f[op.rows[col]], l] += coeff * op.vals[col]
+    return a
+
+
+def trilinear(p, x, y, z):
+    """(L(x, y, z), sum of the moduli of its products): L is p's symmetric trilinear
+    form from its blocks, with L(z, z, z) = p(z)."""
+    total, size = 0.0, 0.0
+    for block, sign in zip(p.system.blocks, p.signs.tolist()):
+        for i, j, l in permutations(block):
+            total += sign * x[i] * y[j] * z[l] / 6.0
+            size += abs(x[i] * y[j] * z[l]) / 6.0
+    return total, size
+
+
+@pytest.mark.parametrize("n", [7, 9, 13])
+def test_middle_block_is_six_times_the_trilinear_form(n):
+    # u^H A(alpha) v = 6 L(alpha, v, conj(u)) to rounding, and A(w) w = 2 grad p(w), so
+    # ||A(w) w|| = 2 ||grad p(w)|| at the witness w of a q = 2 estimate
+    p, t = sts_tuple(n, seed=n)
+    rng = rng_for(n, "polarization")
+    for _ in range(3):
+        alpha, u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+        lhs = np.vdot(u, middle_block(t, alpha) @ v)
+        form, size = trilinear(p, alpha, v, np.conj(u))
+        assert abs(lhs - 6.0 * form) <= 1e-13 * 6.0 * size
+    w = estimate_norm(p, 2.0, starts=4, max_iters=200, seed=n).witness
+    (_,), (grad,) = value_and_partials(p, w[None])
+    image = middle_block(t, w) @ w
+    assert np.allclose(image, 2.0 * grad, rtol=0.0, atol=1e-13 * np.abs(grad).max())
+    assert abs(np.linalg.norm(image) - 2.0 * np.linalg.norm(grad)) <= (
+        1e-12 * 2.0 * np.linalg.norm(grad))
 
 
 def dense_lincomb(t, q, starts, iters, seed):
