@@ -213,11 +213,12 @@ def _align_burnin(p, z, q, sign_rows, cut):
             break
         # a non-finite value or partial foretells a discard
         cut.off |= not (np.isfinite(f).all() and np.isfinite(part).all())
-        keep = cut(held, best_f, settled=False)
-        if not keep.all():
-            held, z, part, sign_rows = held[keep], z[keep], part[keep], sign_rows[keep]
-            if not held.size:
-                break
+        if not cut.off:
+            keep = cut(held, best_f, settled=False)
+            if not keep.all():
+                held, z, part, sign_rows = held[keep], z[keep], part[keep], sign_rows[keep]
+                if not held.size:
+                    break
         mods = np.abs(part)
         w = np.conj(part)
         if q == inf:  # a row whose partials vanish or are NaN stays put, without a warning
@@ -261,21 +262,21 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     size each, the candidate states with a mask of the usable ones (True:
     all).  ``sign_rows`` gives each row's sign row (0 for one polynomial),
     sorted.  Each row keeps its own line search over the steps _ALPHAS (0.5,
-    halving, Armijo constant 1e-4) and takes the first step that passes, and
-    its own stop: zero gradient, no passing step, a relative gain below tol,
-    or max_iters.  A pass evaluates the candidates of all searching rows
-    together, each row's in a contiguous run.  The first pass of a row's
-    step covers the steps down to 2 past the deepest one any row of its sign
-    row took in the step before (8 steps on the first step, at most 24), so
-    that one pass usually settles every row, and a deep row of one sign row
-    does not widen the passes of another; rows still searching go on in
-    passes of 8 steps.  The passes change only the cost, not the steps taken.
-    A row whose direction, or a candidate value at or before the step it
-    takes, turns non-finite is discarded with a warning and its |p|^2 set to
-    NaN.  The ``cut`` (see _Cut) drops the rows of sign rows it stopped before,
-    then rows after the first iteration's gradients and discards and at the
-    top of each later iteration; ``settles`` says no stage follows, so rows
-    that stop are done for good.
+    halving, Armijo constant 1e-4), which its first event settles: a step
+    that passes is taken, a non-finite candidate value discards the row.
+    Each row has its own stop: zero gradient, no passing step, a relative
+    gain below tol, or max_iters.  A pass evaluates the candidates of all
+    searching rows together, each row's in a contiguous run.  The first pass
+    of a row's step covers the steps down to 2 past the deepest one any row
+    of its sign row took in the step before (8 steps on the first step, at
+    most 24), so that one pass usually settles every row, and a deep row of
+    one sign row does not widen the passes of another; rows still searching
+    go on in passes of 8 steps, which change only the cost, not the events.
+    A discarded row, or one whose direction turns non-finite, gets a warning
+    and |p|^2 NaN.  The ``cut`` (see _Cut) drops the rows of sign rows it
+    stopped before, then rows after the first iteration's gradients and
+    discards and at the top of each later iteration; ``settles`` says no
+    stage follows, so rows that stop are done for good.
     Returns (points, |p|^2, iterations per row); x ends at the final states.
     """
     z = to_point(x)
@@ -287,7 +288,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     if not cut.off:  # the sign rows a burn-in stopped stay stopped
         live = live[~cut.stopped[live // cut.starts]]
     for it in range(max_iters):
-        if it:
+        if it and not cut.off:
             live = live[cut(live, f, settles)]
         if not live.size:
             break
@@ -299,7 +300,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
         if not finite.all():
             _discard(p, f, live[~finite], f"non-finite gradient in {name}", sign_rows)
         searching = finite & (gn2 != 0.0)
-        if not it:  # no row is cut before its first gradient is checked
+        if not (it or cut.off):  # no row is cut before its first gradient is checked
             searching &= cut(live, f, settles)
         live, d, gn2, f_live = live[searching], d[searching], gn2[searching], f_live[searching]
         if not live.size:
@@ -317,17 +318,15 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             points = to_point(cands)
             fs = np.abs(evaluate_many(p, points, sign_rows[src])) ** 2
             fs = np.where(usable, fs, -1.0)
-            armijo = fs >= f_live[owner] + ARMIJO * alphas * gn2[owner]
-            pick = np.minimum.reduceat(np.where(armijo, flat, len(fs)), first)  # first hit per row
-            settled = ok = pick < len(fs)
+            # a row settles at its first non-finite value (discarded) or passing step (taken)
             bad = ~np.isfinite(fs)
-            if bad.any():
-                # a row fails at a non-finite value at or before the step it takes
-                first_bad = np.minimum.reduceat(np.where(bad, flat, len(fs)), first)
-                failed = first_bad <= np.where(ok, pick, first + counts - 1)
+            event = bad | (fs >= f_live[owner] + ARMIJO * alphas * gn2[owner])
+            pick = np.minimum.reduceat(np.where(event, flat, len(fs)), first)
+            settled = pick < len(fs)
+            failed = np.append(bad, False)[pick]  # an unsettled row's pick reads the False
+            if failed.any():
                 _discard(p, f, live[failed], "non-finite objective in line search", sign_rows)
-                ok, settled = ok & ~failed, ok | failed
-            took = ok.nonzero()[0]
+            took = (settled & ~failed).nonzero()[0]
             pick = pick[took]
             rows, f_new = live[took], fs[pick]
             gain = (f_new - f_live[took]) / np.maximum(f_new, 1e-300)
@@ -444,7 +443,7 @@ def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows, cut):
     mu = f.copy()
     live = np.flatnonzero(~np.isnan(f) & (iters < max_iters))
     while True:
-        live = live[cut(live, f, settled=True)]
+        live = live if cut.off else live[cut(live, f, settled=True)]
         if not live.size:
             break
         iters[live] += 1

@@ -82,8 +82,8 @@ class SteinerPolynomial:
 class _KernelPlan:
     """Per-polynomial arrays of evaluate_many and value_and_partials.
 
-    ``cols[i]`` is block column i as a contiguous index array and ``signs``
-    the (R, m) sign rows as floats (R = 1 for one polynomial).
+    ``cols[i]`` is block column i as a contiguous index array and ``signs`` a
+    view of the polynomial's int8 (R, m) sign rows (R = 1 for one polynomial).
     ``bins(rows)[pos]`` scatters the contributions of block position pos in
     a tile of ``rows`` points onto the float64 view of the (rows, n)
     partials: weight (r, 2 i + part), the real (part 0) or imaginary (part 1)
@@ -96,7 +96,7 @@ class _KernelPlan:
 
     def __init__(self, blocks: np.ndarray, signs: np.ndarray, n: int):
         self.cols = [np.ascontiguousarray(blocks[:, i]) for i in range(blocks.shape[1])]
-        self.signs = np.atleast_2d(signs).astype(np.float64)
+        self.signs = np.atleast_2d(signs)
         self._n = n
         self._bins = np.empty((blocks.shape[1], 0, 2 * len(blocks)), dtype=np.int64)
         self._incidence = None
@@ -198,12 +198,12 @@ def row_tiles(num_rows: int, width: int):
     return [slice(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
 
 
-def _sign_runs(sign_rows, rows: slice):
+def _sign_runs(plan: _KernelPlan, sign_rows, rows: slice):
     """(run, sign row) for each run of equal sign rows in a tile; a run is a
-    slice of the tile's rows."""
+    slice of the tile's rows, and a plan of one sign row has one per tile."""
     tile = sign_rows[rows]
-    bounds = [0] + (np.flatnonzero(tile[1:] != tile[:-1]) + 1).tolist() + [len(tile)]
-    return [(slice(lo, hi), tile[lo]) for lo, hi in zip(bounds, bounds[1:])]
+    breaks = (np.flatnonzero(tile[1:] != tile[:-1]) + 1).tolist() if len(plan.signs) > 1 else []
+    return [(slice(lo, hi), tile[lo]) for lo, hi in zip([0] + breaks, breaks + [len(tile)])]
 
 
 def _monomials(points: np.ndarray, cols) -> np.ndarray:
@@ -220,7 +220,7 @@ def _monomials(points: np.ndarray, cols) -> np.ndarray:
 
 
 def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
-    """Signed sum of the monomials of p at the point z, summed with fsum.
+    """Sum of the signed block terms of p at the point z (block_terms), taken with fsum.
 
     Used to certify optimizer witnesses independently of the ascent path.
     A family takes an (R, n) array, one point per sign row, and gives an
@@ -230,7 +230,7 @@ def evaluate_compensated(p: SteinerPolynomial, z) -> complex:
     if p.is_family and len(points) != len(p.signs):
         raise ValidationError(f"points array has shape {points.shape}, expected "
                               f"({len(p.signs)}, {p.n}): one point per sign row")
-    terms = np.atleast_2d(p.signs) * _monomials(points, p.system.blocks_array().T)
+    terms = block_terms(p, points, np.arange(len(points)))
     values = [complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist())) for t in terms]
     return np.array(values) if p.is_family else values[0]
 
@@ -254,7 +254,7 @@ def evaluate_many(p: SteinerPolynomial, points: np.ndarray, sign_rows=None) -> n
     plan = p.kernel_plan()
     for rows in row_tiles(points.shape[0], p.num_terms):
         terms, tile = _monomials(points[rows], plan.cols), out[rows]
-        for run, r in _sign_runs(sign_rows, rows):
+        for run, r in _sign_runs(plan, sign_rows, rows):
             if run.stop - run.start == 1:
                 tile[run] = (terms[[run.start] * 2] @ plan.signs[r])[:1]
             else:

@@ -226,6 +226,10 @@ def test_kernel_plan_built_on_first_use_and_cached():
     assert p._plan is plan and plan.bins(5).shape == (3, 5, 2 * p.num_terms)
     value_and_partials(p, np.ones((3, 7)))
     assert p.kernel_plan() is plan and np.shares_memory(plan.bins(3), plan.bins(5))
+    # the plan reads the polynomial's own int8 sign rows, not a float copy
+    fam = sign_family(sts7, 3)
+    for q in (p, fam):
+        assert np.shares_memory(q.kernel_plan().signs, q.signs)
 
 
 def test_value_and_partials_single_point_unchanged():
@@ -294,8 +298,10 @@ def test_family_compensated_evaluation_is_row_by_row():
     pts = np.exp(1j * np.random.default_rng(16).uniform(0.0, 2.0 * np.pi, (4, 13)))
     values = evaluate_compensated(fam, pts)
     assert values.shape == (4,)
+    terms = block_terms(fam, pts, np.arange(4))
     for r in range(4):
         assert values[r] == evaluate_compensated(SteinerPolynomial(fam.system, fam.signs[r]), pts[r])
+        assert values[r] == complex(math.fsum(terms[r].real), math.fsum(terms[r].imag))
     for bad in (pts[0], pts[:3]):
         with pytest.raises(ValidationError):
             evaluate_compensated(fam, bad)
@@ -486,3 +492,8 @@ def test_evaluate_compensated_large_support():
     direct = complex(np.sum(p.signs * np.prod(z[system.blocks_array()], axis=1)))
     for val in (evaluate_compensated(p, z), value_and_partials(p, z[None])[0][0]):
         assert abs(val - direct) <= 1e-9 * max(1.0, abs(direct))
+    # a family: each sign row's value is the fsum of its own block terms, to the bit
+    fam, pts = sign_family(system, 2), np.stack([z, np.conj(z)])
+    terms = block_terms(fam, pts, np.arange(2))
+    expected = [complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms]
+    assert evaluate_compensated(fam, pts).tolist() == expected
