@@ -227,6 +227,16 @@ def greedy_construct(n: int, k: int, seed: int) -> PartialSteinerSystem:
     return PartialSteinerSystem(n, k, k - 1, tuple(accepted))
 
 
+def _quasigroup_system(n: int, m: int, extra, star) -> PartialSteinerSystem:
+    """Triple system of the ``extra`` triples and, for each pair x < y of Z_m and level i,
+    {(x,i), (y,i), (x*y, i+1)} with x*y = star(x, y); point (x, i) is x + m*i."""
+    blocks = [tuple(sorted(b)) for b in extra]
+    blocks += [tuple(sorted((x + m * i, y + m * i, star(x, y) + m * ((i + 1) % 3))))
+               for i in range(3) for x in range(m) for y in range(x + 1, m)]
+    blocks.sort()
+    return PartialSteinerSystem(n, 3, 2, tuple(blocks))
+
+
 def bose_construct(n: int) -> PartialSteinerSystem:
     """Steiner triple system on n = 3 (mod 6) points (Bose construction).
 
@@ -242,18 +252,8 @@ def bose_construct(n: int) -> PartialSteinerSystem:
         )
     m = n // 3
     half = (m + 1) // 2  # multiplicative inverse of 2 in Z_m (m odd)
-
-    def point(x, i):
-        return x + m * i
-
-    blocks = [tuple(sorted((point(x, 0), point(x, 1), point(x, 2)))) for x in range(m)]
-    for i in range(3):
-        for x in range(m):
-            for y in range(x + 1, m):
-                z = ((x + y) * half) % m
-                blocks.append(tuple(sorted((point(x, i), point(y, i), point(z, (i + 1) % 3)))))
-    blocks.sort()
-    return PartialSteinerSystem(n, 3, 2, tuple(blocks))
+    verticals = [(x, x + m, x + 2 * m) for x in range(m)]
+    return _quasigroup_system(n, m, verticals, lambda x, y: ((x + y) * half) % m)
 
 
 def skolem_construct(n: int) -> PartialSteinerSystem:
@@ -272,25 +272,13 @@ def skolem_construct(n: int) -> PartialSteinerSystem:
     m = 2 * t
     inf = n - 1  # the extra point
 
-    def rename(v):
+    def star(x, y):
+        v = (x + y) % m
         return v // 2 if v % 2 == 0 else t + (v - 1) // 2
 
-    def star(x, y):
-        return rename((x + y) % m)
-
-    def point(x, i):
-        return x + m * i
-
-    blocks = [tuple(sorted((point(x, 0), point(x, 1), point(x, 2)))) for x in range(t)]
-    for i in range(3):
-        for x in range(t, m):
-            blocks.append(tuple(sorted((inf, point(x, i), point(x - t, (i + 1) % 3)))))
-    for i in range(3):
-        for x in range(m):
-            for y in range(x + 1, m):
-                blocks.append(tuple(sorted((point(x, i), point(y, i), point(star(x, y), (i + 1) % 3)))))
-    blocks.sort()
-    return PartialSteinerSystem(n, 3, 2, tuple(blocks))
+    extra = [(x, x + m, x + 2 * m) for x in range(t)]  # the verticals of the idempotent half
+    extra += [(inf, x + m * i, x - t + m * ((i + 1) % 3)) for i in range(3) for x in range(t, m)]
+    return _quasigroup_system(n, m, extra, star)
 
 
 def construct(n: int, k: int, method: str, seed: int = 0) -> PartialSteinerSystem:

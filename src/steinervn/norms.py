@@ -26,8 +26,6 @@ logger = logging.getLogger(__name__)
 
 ARMIJO = 1e-4
 BURNIN_STEPS = 30
-STEP0 = 0.5
-STEP_SHRINK = 0.5
 # Relative gain below which a q = inf start leaves gradient steps for Newton steps.
 NEWTON_SWITCH = 1e-4
 ORACLE_MAX_N = 7
@@ -124,7 +122,8 @@ _CUT_ROOM = 2.0 ** -30
 
 
 class _Cut:
-    """Branch-and-bound cut of the sign rows of one estimate_norm call.
+    """Branch-and-bound cut of the sign rows of one estimate_norm call, and its row layout:
+    ``sign_row[s]`` is the sign row of row s, the rows holding each sign row's starts in order.
 
     A sign row's value, as _certify returns it, is taken at its best start's
     final point w, whose computed |p|^2 is at least F, the largest |p|^2 its
@@ -151,13 +150,13 @@ class _Cut:
     stopped.  A stopped row's value, and its full-budget value, then exceed
     the bound, which is at least some sign row's value, so neither is the
     minimum.  The full-budget claim assumes that the start holding F would
-    not have been discarded later, so after a call's first discard or
-    non-finite burn-in value or partial it stops no more rows, and no row is
-    stopped before its first gradient is checked: the burn-in checks its
-    values and partials before each cut, and the Armijo ascent, which has no
-    burn-in before it at q = 1, makes its first check after its first
-    gradients and discards.  Every call has a cut; without a ceiling it is
-    off from the start and never stops a row.
+    not have been discarded later, so _discard, or a non-finite burn-in
+    value or partial, turns the cut off at once, and no row is stopped
+    before its first gradient is checked: the burn-in checks its values and
+    partials before each cut, and the Armijo ascent, which has no burn-in
+    before it at q = 1, makes its first check after its first gradients and
+    discards.  Every call has a cut; without a ceiling it is off from the
+    start.  An off cut stops no rows: its callers check ``off`` and skip it.
     """
 
     def __init__(self, p, q, ceiling, sign_row_count, starts):
@@ -166,27 +165,25 @@ class _Cut:
         self.hi = (1.0 + 6 * e + 3 * _CUT_ROOM) ** k
         self.room = 12 * m * (m + 7 * k) * 2.0 ** -53
         self.ceiling, self.starts = inf if ceiling is None else float(ceiling), starts
+        self.sign_row = np.repeat(np.arange(sign_row_count), starts)
         self.stopped = np.zeros(sign_row_count, dtype=bool)
         self.off = ceiling is None
 
     def __call__(self, live, f, settled):
         """Mask of the rows of ``live`` whose sign row goes on, given every row's best
-        |p|^2 so far in f (NaN once discarded)."""
-        if self.off or not np.isfinite(f).all():
-            self.off = True
-            return np.ones(len(live), dtype=bool)
+        |p|^2 so far in f."""
         top = np.sqrt(f.reshape(-1, self.starts).max(axis=1))
         running = np.zeros(len(top), dtype=bool)
-        running[live // self.starts] = True
+        running[self.sign_row[live]] = True
         bound = self.ceiling
         if settled:
             done = ~running & ~self.stopped
             bound = min(bound, float(self.hi * top[done].min(initial=inf)) + self.room)
         self.stopped |= running & (self.lo * top - self.room > bound)
-        return ~self.stopped[live // self.starts]
+        return ~self.stopped[self.sign_row[live]]
 
 
-def _align_burnin(p, z, q, sign_rows, cut):
+def _align_burnin(p, z, q, cut):
     """Sharpen random starts, one per row of z, by Hoelder alignment before the ascent.
 
     Each step replaces a row z with the unit-q-norm point maximizing the
@@ -197,15 +194,15 @@ def _align_burnin(p, z, q, sign_rows, cut):
     returned and certification happens downstream.  A row whose partials
     vanish, or whose aligned point has a q-norm below the smallest normal
     float, stays where it is.  Degenerate for q = 1 (the linearized optimum
-    is a single coordinate), so callers skip it there.  ``sign_rows`` gives
-    the sign row of each row of z.  Between steps the ``cut`` (see _Cut)
-    drops the rows of sign rows that cannot reach its ceiling's minimum;
-    they keep the best point they have seen.
+    is a single coordinate), so callers skip it there.  The ``cut`` (see
+    _Cut) gives the sign row of each row of z, and between steps drops the
+    rows of sign rows that cannot reach its ceiling's minimum; they keep the
+    best point they have seen.
     """
     best_f, best_z = np.full(len(z), -1.0), z.copy()
     held = np.arange(len(z))  # the rows of best_f and best_z that z holds
     for step in range(BURNIN_STEPS + 1):
-        val, part = value_and_partials(p, z, sign_rows)
+        val, part = value_and_partials(p, z, cut.sign_row[held])
         f = np.abs(val) ** 2
         better = f > best_f[held]
         best_f[held[better]], best_z[held[better]] = f[better], z[better]
@@ -216,7 +213,7 @@ def _align_burnin(p, z, q, sign_rows, cut):
         if not cut.off:
             keep = cut(held, best_f, settled=False)
             if not keep.all():
-                held, z, part, sign_rows = held[keep], z[keep], part[keep], sign_rows[keep]
+                held, z, part = held[keep], z[keep], part[keep]
                 if not held.size:
                     break
         mods = np.abs(part)
@@ -234,25 +231,26 @@ def _align_burnin(p, z, q, sign_rows, cut):
     return best_z
 
 
-# Armijo step sizes, halving from STEP0 down to 2^-64 (about 5e-20).
-_ALPHAS = STEP0 * STEP_SHRINK ** np.arange(64)
+# Armijo step sizes, halving from 0.5 down to 2^-64 (about 5e-20).
+_ALPHAS = 0.5 ** np.arange(1, 65)
 _LS_CHUNK = 8  # width of every line-search pass after a step's first
 _LS_FIRST_MAX = 24  # widest first pass
 
 
-def _discard(p, f, rows, reason, sign_rows):
+def _discard(p, f, rows, reason, cut):
+    """Warn of each of ``rows``, set its |p|^2 to NaN and turn the cut off (see _Cut)."""
     for s in rows.tolist():
         if not p.is_family:
             logger.warning("estimate_norm: start %d discarded (%s)", s, reason)
         else:  # a family's rows hold its sign rows' starts in order
-            r = int(sign_rows[s])
+            r = int(cut.sign_row[s])
             logger.warning("estimate_norm: start %d of sign row %d discarded (%s)",
-                           s - int(np.searchsorted(sign_rows, r)), r, reason)
+                           s - r * cut.starts, r, reason)
     f[rows] = np.nan
+    cut.off = True
 
 
-def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_rows, cut,
-                   settles=True):
+def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, cut, settles=True):
     """Backtracking gradient ascent of |p|^2, one start per row of x.
 
     ``to_point`` maps states to the points p is evaluated at,
@@ -260,8 +258,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     its squared norm, and ``step(x, alphas, d)`` gives, for candidate rows of
     states x and directions d (fresh arrays it may overwrite) and one step
     size each, the candidate states with a mask of the usable ones (True:
-    all).  ``sign_rows`` gives each row's sign row (0 for one polynomial),
-    sorted.  Each row keeps its own line search over the steps _ALPHAS (0.5,
+    all).  Each row keeps its own line search over the steps _ALPHAS (0.5,
     halving, Armijo constant 1e-4), which its first event settles: a step
     that passes is taken, a non-finite candidate value discards the row.
     Each row has its own stop: zero gradient, no passing step, a relative
@@ -273,20 +270,21 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     one sign row does not widen the passes of another; rows still searching
     go on in passes of 8 steps, which change only the cost, not the events.
     A discarded row, or one whose direction turns non-finite, gets a warning
-    and |p|^2 NaN.  The ``cut`` (see _Cut) drops the rows of sign rows it
-    stopped before, then rows after the first iteration's gradients and
-    discards and at the top of each later iteration; ``settles`` says no
-    stage follows, so rows that stop are done for good.
+    and |p|^2 NaN.  The ``cut`` (see _Cut) gives each row's sign row, and
+    drops the rows of sign rows it stopped before, then rows after the first
+    iteration's gradients and discards and at the top of each later
+    iteration; ``settles`` says no stage follows, so rows that stop are done
+    for good.
     Returns (points, |p|^2, iterations per row); x ends at the final states.
     """
     z = to_point(x)
-    f = np.abs(evaluate_many(p, z, sign_rows)) ** 2
+    f = np.abs(evaluate_many(p, z, cut.sign_row)) ** 2
     num = len(x)
-    width = np.full(int(sign_rows.max(initial=0)) + 1, _LS_CHUNK)  # first-pass width per sign row
+    width = np.full(len(cut.stopped), _LS_CHUNK)  # first-pass width per sign row
     iters = np.zeros(num, dtype=np.int64)
     live = np.arange(num)
     if not cut.off:  # the sign rows a burn-in stopped stay stopped
-        live = live[~cut.stopped[live // cut.starts]]
+        live = live[~cut.stopped[cut.sign_row[live]]]
     for it in range(max_iters):
         if it and not cut.off:
             live = live[cut(live, f, settles)]
@@ -294,11 +292,11 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             break
         iters[live] += 1
         z_live, f_live = z[live], f[live]
-        val, partials = value_and_partials(p, z_live, sign_rows[live])
+        val, partials = value_and_partials(p, z_live, cut.sign_row[live])
         d, gn2 = direction(z_live, f_live, val, partials)
         finite = np.isfinite(gn2)
         if not finite.all():
-            _discard(p, f, live[~finite], f"non-finite gradient in {name}", sign_rows)
+            _discard(p, f, live[~finite], f"non-finite gradient in {name}", cut)
         searching = finite & (gn2 != 0.0)
         if not (it or cut.off):  # no row is cut before its first gradient is checked
             searching &= cut(live, f, settles)
@@ -306,7 +304,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
         if not live.size:
             continue
         moving, deepest = [live[:0]], np.zeros(len(width), dtype=np.intp)
-        lo, hi = 0, width[sign_rows[live]]
+        lo, hi = 0, width[cut.sign_row[live]]
         while True:
             counts = hi - lo  # each row's run of step indices lo..hi-1 (never empty)
             owner = np.repeat(np.arange(live.size), counts)
@@ -316,7 +314,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             alphas, src = _ALPHAS[step_idx], live[owner]
             cands, usable = step(x[src], alphas, d[owner])
             points = to_point(cands)
-            fs = np.abs(evaluate_many(p, points, sign_rows[src])) ** 2
+            fs = np.abs(evaluate_many(p, points, cut.sign_row[src])) ** 2
             fs = np.where(usable, fs, -1.0)
             # a row settles at its first non-finite value (discarded) or passing step (taken)
             bad = ~np.isfinite(fs)
@@ -325,7 +323,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             settled = pick < len(fs)
             failed = np.append(bad, False)[pick]  # an unsettled row's pick reads the False
             if failed.any():
-                _discard(p, f, live[failed], "non-finite objective in line search", sign_rows)
+                _discard(p, f, live[failed], "non-finite objective in line search", cut)
             took = (settled & ~failed).nonzero()[0]
             pick = pick[took]
             rows, f_new = live[took], fs[pick]
@@ -333,7 +331,7 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
             x[rows], z[rows], f[rows] = cands[pick], points[pick], f_new
             del cands, points  # the pass's largest arrays: freed before the next is made
             moving.append(rows[gain >= tol])
-            np.maximum.at(deepest, sign_rows[rows], step_idx[pick])
+            np.maximum.at(deepest, cut.sign_row[rows], step_idx[pick])
             if settled.all():
                 break
             searching = ~settled & (hi < len(_ALPHAS))
@@ -347,12 +345,13 @@ def _armijo_ascent(p, x, to_point, direction, step, max_iters, tol, name, sign_r
     return z, f, iters
 
 
-def _phase_ascent(p, theta, max_iters, tol, sign_rows, cut):
+def _phase_ascent(p, theta, max_iters, tol, cut):
     """Ascent of |p(e^{i theta})|^2 over the torus, one start per row of theta.
 
     Each row takes gradient steps (_armijo_ascent) until its relative gain
-    falls below NEWTON_SWITCH, then damped Newton steps (_newton_finish)
-    until it falls below tol; both stages count against max_iters.
+    falls below max(tol, NEWTON_SWITCH), then damped Newton steps
+    (_newton_finish) until a step's gain falls below tol, whatever tol is;
+    both stages count against max_iters.
     """
     def direction(z, f, val, partials):
         grad = -2.0 * np.imag(np.conj(val)[:, None] * partials * z)
@@ -364,12 +363,9 @@ def _phase_ascent(p, theta, max_iters, tol, sign_rows, cut):
         del theta  # the gathered states: freed before the points are made
         return grad, True
 
-    newton = tol < NEWTON_SWITCH
     z, f, iters = _armijo_ascent(p, theta, _torus_points, direction, step, max_iters,
-                                 max(tol, NEWTON_SWITCH), "phase ascent", sign_rows, cut,
-                                 settles=not newton)
-    if newton:
-        _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows, cut)
+                                 max(tol, NEWTON_SWITCH), "phase ascent", cut, settles=False)
+    _newton_finish(p, theta, z, f, iters, max_iters, tol, cut)
     return z, f, iters
 
 
@@ -424,7 +420,7 @@ def _newton_steps(grad, hess, mu):
     return d
 
 
-def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows, cut):
+def _newton_finish(p, theta, z, f, iters, max_iters, tol, cut):
     """Damped Newton (Levenberg-Marquardt) ascent of |p(e^{i theta})|^2 from each row's
     state, updating theta, z = e^{i theta}, f = |p(z)|^2 and iters in place.
 
@@ -450,22 +446,22 @@ def _newton_finish(p, theta, z, f, iters, max_iters, tol, sign_rows, cut):
         grad, d = np.empty((len(live), n)), np.empty((len(live), n))
         for tile in row_tiles(len(live), n * n):
             rows = live[tile]
-            grad[tile], hess = _torus_derivatives(p, z[rows], sign_rows[rows])
+            grad[tile], hess = _torus_derivatives(p, z[rows], cut.sign_row[rows])
             d[tile] = _newton_steps(grad[tile], hess, mu[rows])
             del hess  # the tile's largest array: freed before the next is made
         slope = (grad[:, None, :] @ d[:, :, None])[:, 0, 0]  # each row's BLAS dot
         finite = np.isfinite(slope)
         if not finite.all():
-            _discard(p, f, live[~finite], "non-finite gradient in phase ascent", sign_rows)
+            _discard(p, f, live[~finite], "non-finite gradient in phase ascent", cut)
         searching = finite & (grad != 0.0).any(axis=1)
         live, d, slope = live[searching], d[searching], slope[searching]
         cands = theta[live] + d
         points = _torus_points(cands)
         f_live = f[live]
-        fs = np.abs(evaluate_many(p, points, sign_rows[live])) ** 2
+        fs = np.abs(evaluate_many(p, points, cut.sign_row[live])) ** 2
         bad = ~np.isfinite(fs)
         if bad.any():
-            _discard(p, f, live[bad], "non-finite objective in Newton step", sign_rows)
+            _discard(p, f, live[bad], "non-finite objective in Newton step", cut)
         took = fs >= np.maximum(f_live, f_live + ARMIJO * slope)
         mu[live] *= np.where(took, 0.25, 4.0)
         gain = (fs - f_live) / np.maximum(fs, 1e-300)
@@ -486,7 +482,7 @@ def _qnorm_rows(points: np.ndarray, q) -> np.ndarray:
     return mods.sum(axis=1) ** (1.0 / q)
 
 
-def _sphere_ascent(p, z, q, max_iters, tol, sign_rows, cut):
+def _sphere_ascent(p, z, q, max_iters, tol, cut):
     """Ascent of the scale-invariant |p(z)|^2 / ||z||_q^{2k}, one start per row.
 
     The search direction is the gradient of the quotient, which vanishes at
@@ -513,8 +509,7 @@ def _sphere_ascent(p, z, q, max_iters, tol, sign_rows, cut):
         return d, usable
 
     z = z / qnorm(z, q)[:, None]
-    return _armijo_ascent(p, z, lambda z: z, direction, step, max_iters, tol, "sphere ascent",
-                          sign_rows, cut)
+    return _armijo_ascent(p, z, lambda z: z, direction, step, max_iters, tol, "sphere ascent", cut)
 
 
 def _qnorm_error(q, n):
@@ -577,9 +572,10 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
 
     For q = inf the ascent runs over phase vectors z_j = e^{i theta_j} (the
     maximum modulus principle puts the optimum on the torus), with gradient
-    steps until a start's relative gain falls below NEWTON_SWITCH and damped
-    Newton steps on the closed-form torus Hessian after that; for finite q
-    over the complex unit q-sphere (homogeneity puts it on the sphere).
+    steps until a start's relative gain falls below max(tol, NEWTON_SWITCH)
+    and damped Newton steps on the closed-form torus Hessian after that, at
+    every tol; for finite q over the complex unit q-sphere (homogeneity puts
+    it on the sphere).
     Start s uses the derived seed (seed, "start", s).  The starts advance
     together, as the rows of one array, so each step costs one batched
     kernel call; every row keeps its own line search or damping, stop rule
@@ -623,17 +619,16 @@ def estimate_norm(p: SteinerPolynomial, q, starts: int = Budgets.starts,
         return _certify(p, witness, q, "trivial", total, 0, seed)
 
     rngs = [rng_for(s, "start", i) for s in seeds for i in range(starts)]
-    sign_rows = np.repeat(np.arange(num), starts)  # all 0 for one polynomial
     cut = _Cut(p, q, ceiling, num, starts)
     if q == inf:
         z0 = np.exp(1j * np.array([rng.uniform(0.0, 2.0 * np.pi, size=n) for rng in rngs]))
-        theta = np.angle(_align_burnin(p, z0, q, sign_rows, cut))
-        points, f, iters = _phase_ascent(p, theta, max_iters, tol, sign_rows, cut)
+        theta = np.angle(_align_burnin(p, z0, q, cut))
+        points, f, iters = _phase_ascent(p, theta, max_iters, tol, cut)
     else:
         z0 = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for rng in rngs])
         if q > 1:
-            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q, sign_rows, cut)
-        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol, sign_rows, cut)
+            z0 = _align_burnin(p, z0 / qnorm(z0, q)[:, None], q, cut)
+        points, f, iters = _sphere_ascent(p, z0, q, max_iters, tol, cut)
     f = f.reshape(num, starts)
     kept = ~np.isnan(f)  # discarded starts hold NaN
     if not kept.any(axis=1).all():

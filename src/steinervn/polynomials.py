@@ -320,9 +320,7 @@ def value_and_partials(p: SteinerPolynomial, z, sign_rows=None) -> tuple:
 def random_signs(system: PartialSteinerSystem, seed: int) -> np.ndarray:
     """Independent fair +-1 signs, one per block, deterministic per (system, seed)."""
     rng = rng_for(seed, "signs", system.n, system.k, system.num_blocks)
-    if system.num_blocks == 0:
-        return np.zeros(0, dtype=np.int8)
-    return (2 * rng.integers(0, 2, size=system.num_blocks, dtype=np.int8) - 1).astype(np.int8)
+    return 2 * rng.integers(0, 2, size=system.num_blocks, dtype=np.int8) - 1
 
 
 def relabel(p: SteinerPolynomial, perm) -> SteinerPolynomial:

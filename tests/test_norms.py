@@ -374,6 +374,24 @@ def test_nonfinite_newton_start_is_discarded_alone(monkeypatch, caplog, where, r
     assert est.iterations == clean.iterations
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_every_q_inf_estimate_ends_in_the_newton_finish(monkeypatch, tol):
+    # a tol at or above NEWTON_SWITCH ends the gradient stage at tol, and Newton steps follow
+    finish, calls = norms._newton_finish, []
+
+    def counted(*args):
+        calls.append(len(args[1]))  # the rows of theta
+        return finish(*args)
+
+    monkeypatch.setattr(norms, "_newton_finish", counted)
+    p = seeded_poly(13, 3, 6)
+    fam, seeds = family(p.system, 3, seed=4)
+    estimate_norm(p, inf, starts=4, max_iters=200, tol=tol, seed=4)
+    estimate_norm(fam, inf, starts=4, max_iters=200, tol=tol, seed=seeds)
+    estimate_norm(fam, 2.0, starts=4, max_iters=200, tol=tol, seed=seeds)
+    assert calls == [4, 12]
+
+
 def test_all_starts_nonfinite_raises(monkeypatch, caplog):
     p = seeded_poly(13, 3, 6)
     poison_start(monkeypatch, p, inf, seed=4, bad=range(3))
@@ -401,10 +419,8 @@ def test_line_search_discards_only_on_values_up_to_the_step_taken(caplog, poison
             cands[bad(alphas)] = np.nan
             return cands, True
 
-        # one polynomial: every row takes sign row 0, under a cut that is off
         return norms._armijo_ascent(p, theta.copy(), lambda t: np.exp(1j * t), direction, step,
-                                    5, 1e-10, "test", np.zeros(3, dtype=np.intp),
-                                    norms._Cut(p, inf, None, 1, 3))
+                                    5, 1e-10, "test", norms._Cut(p, inf, None, 1, 3))
 
     clean = ascent(lambda a: a < 0.0)
     with caplog.at_level(logging.WARNING, logger=norms.__name__):
